@@ -20,11 +20,13 @@ import numpy as np
 from . import game
 from .quantum import (
     ATOL_STRUCT,
+    Channel,
     Measurement,
     State,
     minus_ket,
     plus_ket,
     projector,
+    random_unitary,
     tensor,
 )
 
@@ -38,19 +40,14 @@ def bell_pair_ket() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChshStrategy:
-    """Two-player strategy: Bell pair, local gates, X measurements."""
+    """Alice's and Bob's local gates per input of a two-player strategy.
 
-    shared_state: State
+    The rest of the play is fixed and not stored: ``evaluate_chsh`` starts
+    from the Bell pair |Phi+> and has both players measure X.
+    """
+
     alice_gates: dict[int, np.ndarray]
     bob_gates: dict[int, np.ndarray]
-    alice_measurement: Measurement
-    bob_measurement: Measurement
-
-    def __post_init__(self):
-        if not np.allclose(
-            self.shared_state.density, projector(bell_pair_ket()), atol=ATOL_STRUCT, rtol=0.0
-        ):
-            raise ValueError("shared state must be the Bell pair |Phi+>")
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,17 @@ class ChshReport:
 
     per_input: dict[tuple[int, int], float]
     joint_table: dict[tuple[int, int, int, int], float]
+
+
+def random_normal_form(rng: np.random.Generator) -> game.Strategy:
+    """Normal-form strategy with random unitary gates, drawn as A0, A1, B0, B1."""
+    a0, a1, b0, b1 = (Channel.unitary(random_unitary(2, rng)) for _ in range(4))
+    return game.Strategy(
+        initial=State.from_ket(plus_ket()),
+        a_gates={0: a0, 1: a1},
+        b_gates={0: b0, 1: b1},
+        measurement=Measurement.pauli("x"),
+    )
 
 
 def _require_normal_form(s: game.Strategy) -> None:
@@ -70,10 +78,10 @@ def _require_normal_form(s: game.Strategy) -> None:
                 raise ValueError(f"{name}_{k} is not a single-Kraus unitary channel")
     if not np.allclose(s.initial.density, projector(plus_ket()), atol=ATOL_STRUCT, rtol=0.0):
         raise ValueError("normal form requires the initial state |+>")
-    x_meas = Measurement.pauli("x")
+    x_projectors = (projector(plus_ket()), projector(minus_ket()))
     if s.measurement.outcome_labels != (0, 1) or not all(
         np.allclose(p, q, atol=ATOL_STRUCT, rtol=0.0)
-        for p, q in zip(s.measurement.projectors, x_meas.projectors)
+        for p, q in zip(s.measurement.projectors, x_projectors)
     ):
         raise ValueError("normal form requires the X measurement with labels (+ -> 0, - -> 1)")
 
@@ -82,11 +90,8 @@ def lift(s: game.Strategy) -> ChshStrategy:
     """Map a normal-form CHSH* strategy to its two-player counterpart."""
     _require_normal_form(s)
     return ChshStrategy(
-        shared_state=State.from_ket(bell_pair_ket()),
         alice_gates={a: ch.kraus[0].T for a, ch in s.a_gates.items()},
         bob_gates={b: ch.kraus[0] for b, ch in s.b_gates.items()},
-        alice_measurement=Measurement.pauli("x"),
-        bob_measurement=Measurement.pauli("x"),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,6 @@ from .quantum import (
     plus_ket,
     projector,
     qudit_gates,
-    random_unitary,
     H,
     I2,
     S,
@@ -291,28 +291,24 @@ def cmd_value(args) -> int:
     return _emit("\n".join(lines), args.output)
 
 
-def _random_normal_form_strategy(rng) -> game.Strategy:
-    return game.Strategy(
-        initial=game.State.from_ket(plus_ket()),
-        a_gates={0: Channel.unitary(random_unitary(2, rng)), 1: Channel.unitary(random_unitary(2, rng))},
-        b_gates={0: Channel.unitary(random_unitary(2, rng)), 1: Channel.unitary(random_unitary(2, rng))},
-        measurement=Measurement.pauli("x"),
-    )
+def _lemma1_max_deviation(seed: int, n_random: int) -> tuple[float, int]:
+    """Largest lift deviation over the optimal play and n_random seeded random ones."""
+    rng = np.random.default_rng(seed)
+    strategies = [settings.optimal_unitary_strategy()] + [
+        chsh_lift.random_normal_form(rng) for _ in range(n_random)
+    ]
+    max_dev = max(chsh_lift.verify_equivalence(s)[1] for s in strategies)
+    return max_dev, len(strategies)
 
 
 def cmd_verify_lemma1(args) -> int:
     if args.n_random < 1:
         print("error: --n-random must be >= 1", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    max_dev = 0.0
-    checked = 0
-    for strategy in [settings.optimal_unitary_strategy()] + [
-        _random_normal_form_strategy(rng) for _ in range(args.n_random)
-    ]:
-        _, dev = chsh_lift.verify_equivalence(strategy, args.tol)
-        max_dev = max(max_dev, dev)
-        checked += 1
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print("error: --tol must be a finite number >= 0", file=sys.stderr)
+        return 2
+    max_dev, checked = _lemma1_max_deviation(args.seed, args.n_random)
     passed = max_dev <= args.tol
 
     payload = {
@@ -343,14 +339,19 @@ def cmd_verify_lemma1(args) -> int:
     return 0 if passed else 1
 
 
+def _sweep_summary(steps: int) -> tuple[list, float, tuple]:
+    """Sweep rows, the largest formula-vs-circuit gap and the row of largest p_formula."""
+    rows = settings.epsilon_sweep(settings.uniform_open_grid(steps))
+    max_delta = max(abs(pf - pc) for _, pf, pc in rows)
+    best = max(rows, key=lambda r: r[1])
+    return rows, max_delta, best
+
+
 def cmd_sweep_epsilon(args) -> int:
     if args.steps < 2:
         print("error: --steps must be >= 2", file=sys.stderr)
         return 2
-    grid = settings.uniform_open_grid(args.steps)
-    rows = settings.epsilon_sweep(grid)
-    max_delta = max(abs(pf - pc) for _, pf, pc in rows)
-    best = max(rows, key=lambda r: r[1])
+    rows, max_delta, best = _sweep_summary(args.steps)
 
     if args.format == "csv":
         lines = ["epsilon,p_formula,p_circuit"]
@@ -473,20 +474,12 @@ def cmd_reproduce_all(args) -> int:
     rev3 = settings.value_classical_reversible(3)
     check("classical_reversible_d3", rev3.value, 1.0)
 
-    rng = np.random.default_rng(args.seed)
-    max_dev = 0.0
-    for strategy in [settings.optimal_unitary_strategy()] + [
-        _random_normal_form_strategy(rng) for _ in range(args.n_random)
-    ]:
-        _, dev = chsh_lift.verify_equivalence(strategy)
-        max_dev = max(max_dev, dev)
+    max_dev, _ = _lemma1_max_deviation(args.seed, args.n_random)
     checks.append({"name": "lemma1_max_deviation", "value": max_dev, "ok": bool(max_dev <= 1e-10)})
 
-    rows = settings.epsilon_sweep(settings.uniform_open_grid(1001))
-    sweep_delta = max(abs(pf - pc) for _, pf, pc in rows)
-    sweep_max = max(r[1] for r in rows)
+    _, sweep_delta, best = _sweep_summary(1001)
     checks.append({"name": "sweep_dual_path_delta", "value": sweep_delta, "ok": bool(sweep_delta < 1e-12)})
-    check("sweep_max", sweep_max, TSIRELSON, tol=1e-12)
+    check("sweep_max", best[1], TSIRELSON, tol=1e-12)
 
     p = landauer.solve_erasure_probability(TSIRELSON)
     check("landauer_p_for_tsirelson", p, float(np.sqrt(2) - 1), tol=1e-12)
@@ -531,7 +524,8 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        print(f"error: CHSHSTAR_SEED must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def build_parser(default_seed: int) -> argparse.ArgumentParser:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
-    ATOL_STRUCT,
     Channel,
     Measurement,
     State,
     apply_channel,
     basis_ket,
+    is_left_stochastic,
     outcome_distribution,
 )
 
@@ -68,12 +68,6 @@ class Strategy:
     @property
     def dim(self) -> int:
         return self.initial.dim
-
-    def is_unitary(self) -> bool:
-        return all(
-            ch.is_unitary_channel()
-            for ch in itertools.chain(self.a_gates.values(), self.b_gates.values())
-        )
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def stochastic_matrix(gate, d: int) -> np.ndarray:
     m = np.asarray(arr, dtype=float)
     if m.shape != (d, d):
         raise ValueError(f"gate matrix must be {d}x{d}, got {m.shape}")
-    if (m < -ATOL_STRUCT).any() or not np.allclose(m.sum(axis=0), 1.0, atol=ATOL_STRUCT):
+    if not is_left_stochastic(m):
         raise ValueError("gate matrix is not left-stochastic")
     return m
 

@@ -64,7 +64,7 @@ def erasure_report(p: float) -> game.EvaluationReport:
     """Evaluate the partial-erasure strategy, with the erasure ledger attached."""
     strategy = erasure_strategy(p)
     report = game.evaluate_classical(game.GameSpec(2), strategy.base)
-    ledger = {pair: (p if pair == _ERASE_INPUT else 0.0) for pair in report.per_input}
+    ledger = entropy_ledger(p).per_input_bits_erased
     return game.EvaluationReport(
         per_input=report.per_input, average=report.average, erasure_ledger=ledger
     )

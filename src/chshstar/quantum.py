@@ -33,13 +33,13 @@ T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 
 
 def rz(theta: float) -> np.ndarray:
-    """Z rotation ``diag(1, e^{i theta})`` (global phase normalized away)."""
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+    """Z rotation ``diag(1, e^{i theta})`` (global phase normalized away), in float64."""
+    return np.array([[1, 0], [0, np.exp(1j * float(theta))]], dtype=complex)
 
 
 def ry(theta: float) -> np.ndarray:
-    """Y rotation ``exp(-i theta Y / 2)``; real for real theta."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    """Y rotation ``exp(-i theta Y / 2)``; real for real theta, in float64."""
+    c, s = np.cos(float(theta) / 2), np.sin(float(theta) / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
@@ -120,11 +120,51 @@ def projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
+# Structural checks.  Each works on a stack of shape (n, d, d) and holds only
+# if it holds for every matrix of the stack; one object is checked as the
+# stack of one, ``m[None]``.  Closeness is ``|a - b| <= atol`` entrywise,
+# which, unlike ``np.allclose``, never counts inf or NaN as close.
+
+def _dagger_stack(m: np.ndarray) -> np.ndarray:
+    return m.conj().transpose(0, 2, 1)
+
+
+def _close(a: np.ndarray, b, atol: float) -> bool:
+    return bool(np.all(np.abs(a - b) <= atol))
+
+
+def _all_unitary(us: np.ndarray) -> bool:
+    return _close(_dagger_stack(us) @ us, np.eye(us.shape[-1]), ATOL_STRUCT)
+
+
+def check_unitary_stack(us: np.ndarray) -> None:
+    """Raise unless every matrix of the stack is unitary (U^+ U = I)."""
+    if not _all_unitary(us):
+        raise ValueError("matrix is not unitary")
+
+
+def check_density_stack(rhos: np.ndarray) -> None:
+    """Raise unless every matrix of the stack is Hermitian, of unit trace and PSD."""
+    if not _close(rhos, _dagger_stack(rhos), ATOL_PROB):
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(rhos, axis1=1, axis2=2).real
+    ok = np.abs(tr - 1.0) <= ATOL_PROB
+    if not ok.all():
+        raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
+    if np.linalg.eigvalsh(rhos).min() < -ATOL_STRUCT:
+        raise ValueError("density matrix is not positive semidefinite")
+
+
+def is_left_stochastic(m: np.ndarray) -> bool:
+    """Entries >= 0 and every column summing to 1."""
+    # Column sums may be off by ATOL_STRUCT plus a relative 1e-5, the default
+    # rtol of the np.allclose this check was specified with.
+    return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT + 1e-5)
+
+
+def is_unitary(u: np.ndarray) -> bool:
     u = _as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol, rtol=0.0))
+    return u.shape[0] == u.shape[1] and _all_unitary(u[None])
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,13 +204,7 @@ class State:
         rho = _as_matrix(self.density, "density")
         if rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, atol=ATOL_PROB, rtol=0.0):
-            raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > ATOL_PROB:
-            raise ValueError(f"density matrix trace is {tr}, expected 1")
-        if np.linalg.eigvalsh(rho).min() < -ATOL_STRUCT:
-            raise ValueError("density matrix is not positive semidefinite")
+        check_density_stack(rho[None])
         object.__setattr__(self, "density", rho)
 
     @classmethod
@@ -197,8 +231,8 @@ class Channel:
             raise ValueError("all Kraus operators must share one shape")
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.allclose(total, np.eye(shape[0]), atol=ATOL_STRUCT, rtol=0.0):
+        ks = np.stack(ops)
+        if not _close((_dagger_stack(ks) @ ks).sum(axis=0), np.eye(shape[0]), ATOL_STRUCT):
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
         object.__setattr__(self, "kraus", ops)
 
@@ -233,7 +267,7 @@ class Channel:
         m = np.asarray(stochastic, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("stochastic matrix must be square")
-        if (m < -ATOL_STRUCT).any() or not np.allclose(m.sum(axis=0), 1.0, atol=ATOL_STRUCT):
+        if not is_left_stochastic(m):
             raise ValueError("matrix is not left-stochastic")
         d = m.shape[0]
         ops = []
@@ -249,16 +283,23 @@ class Channel:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def is_unitary_channel(self, atol: float = ATOL_STRUCT) -> bool:
-        return len(self.kraus) == 1 and is_unitary(self.kraus[0], atol)
+    def is_unitary_channel(self) -> bool:
+        return len(self.kraus) == 1 and is_unitary(self.kraus[0])
 
 
 def apply_channel(ch: Channel, s: State) -> State:
     """rho -> sum_i K_i rho K_i^+ ."""
     if ch.dim != s.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {s.dim}")
-    rho = sum(k @ s.density @ k.conj().T for k in ch.kraus)
-    return State(rho)
+    ks = np.stack(ch.kraus)
+    return State((ks @ s.density @ _dagger_stack(ks)).sum(axis=0))
+
+
+def apply_unitary_stack(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``apply_channel`` of each unitary of a stack to one density matrix, checked."""
+    rhos = us @ rho @ _dagger_stack(us)
+    check_density_stack(rhos)
+    return rhos
 
 
 @dataclass(frozen=True)
@@ -275,18 +316,17 @@ class Measurement:
         if len(projs) != len(self.outcome_labels):
             raise ValueError("one label per projector is required")
         d = projs[0].shape[0]
-        for p in projs:
-            if p.shape != (d, d):
-                raise ValueError("all projectors must share one dimension")
-            if not np.allclose(p, p.conj().T, atol=ATOL_STRUCT, rtol=0.0):
-                raise ValueError("projector is not Hermitian")
-            if not np.allclose(p @ p, p, atol=ATOL_STRUCT, rtol=0.0):
-                raise ValueError("projector is not idempotent")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if not np.allclose(projs[i] @ projs[j], 0.0, atol=ATOL_STRUCT, rtol=0.0):
-                    raise ValueError("projectors are not pairwise orthogonal")
-        if not np.allclose(sum(projs), np.eye(d), atol=ATOL_STRUCT, rtol=0.0):
+        if any(p.shape != (d, d) for p in projs):
+            raise ValueError("all projectors must share one dimension")
+        ps = np.stack(projs)
+        if not _close(ps, _dagger_stack(ps), ATOL_STRUCT):
+            raise ValueError("projector is not Hermitian")
+        if not _close(ps @ ps, ps, ATOL_STRUCT):
+            raise ValueError("projector is not idempotent")
+        i, j = np.triu_indices(len(ps), 1)
+        if not _close(ps[i] @ ps[j], 0.0, ATOL_STRUCT):
+            raise ValueError("projectors are not pairwise orthogonal")
+        if not _close(ps.sum(axis=0), np.eye(d), ATOL_STRUCT):
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "outcome_labels", tuple(int(c) for c in self.outcome_labels))
@@ -334,56 +374,8 @@ class Measurement:
         return self.projectors[0].shape[0]
 
 
-def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
-    """Label -> probability, aggregating raw outcomes that share a label."""
-    if m.dim != s.dim:
-        raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
-    agg: dict[int, float] = {}
-    for p, label in zip(m.projectors, m.outcome_labels):
-        prob = float(np.trace(p @ s.density).real)
-        agg[label] = agg.get(label, 0.0) + prob
-    total = sum(agg.values())
-    if abs(total - 1.0) > ATOL_STRUCT:
-        raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-    return sorted(agg.items())
-
-
-# Batched forms of the checks above, for stacks of shape (n, d, d).  Each
-# applies the per-object check, with its tolerance, to every matrix of the
-# stack and raises the same ValueError if any one fails.
-
-def _dagger_stack(m: np.ndarray) -> np.ndarray:
-    return m.conj().transpose(0, 2, 1)
-
-
-def check_unitary_stack(us: np.ndarray) -> None:
-    """``Channel.unitary``'s check on every matrix of a stack."""
-    eye = np.eye(us.shape[-1])
-    if not np.all(np.abs(_dagger_stack(us) @ us - eye) <= ATOL_STRUCT):
-        raise ValueError("matrix is not unitary")
-
-
-def check_density_stack(rhos: np.ndarray) -> None:
-    """``State``'s checks (Hermitian, unit trace, PSD) on every matrix of a stack."""
-    if not np.all(np.abs(rhos - _dagger_stack(rhos)) <= ATOL_PROB):
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rhos, axis1=1, axis2=2).real
-    ok = np.abs(tr - 1.0) <= ATOL_PROB
-    if not ok.all():
-        raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
-    if np.linalg.eigvalsh(rhos).min() < -ATOL_STRUCT:
-        raise ValueError("density matrix is not positive semidefinite")
-
-
-def apply_unitary_stack(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``apply_channel`` of each unitary of a stack to one density matrix, checked."""
-    rhos = us @ rho @ _dagger_stack(us)
-    check_density_stack(rhos)
-    return rhos
-
-
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
-    """``outcome_distribution`` over a stack of densities: label -> probabilities."""
+    """Label -> probabilities over a stack of densities, outcomes sharing a label summed."""
     agg: dict[int, np.ndarray] = {}
     for p, label in zip(m.projectors, m.outcome_labels):
         agg[label] = agg.get(label, 0.0) + np.trace(p @ rhos, axis1=1, axis2=2).real
@@ -392,6 +384,14 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     if not ok.all():
         raise ValueError(f"outcome probabilities sum to {total[~ok][0]}, expected 1")
     return agg
+
+
+def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
+    """Sorted (label, probability) pairs, outcomes sharing a label summed."""
+    if m.dim != s.dim:
+        raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
+    probs = outcome_probabilities(m, s.density[None])
+    return [(label, float(p[0])) for label, p in sorted(probs.items())]
 
 
 def shift_gate(d: int) -> np.ndarray:

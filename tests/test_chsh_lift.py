@@ -20,15 +20,6 @@ def _identity_strategy() -> game.Strategy:
     )
 
 
-def _random_normal_form(rng) -> game.Strategy:
-    return game.Strategy(
-        initial=q.State.from_ket(q.plus_ket()),
-        a_gates={k: q.Channel.unitary(q.random_unitary(2, rng)) for k in (0, 1)},
-        b_gates={k: q.Channel.unitary(q.random_unitary(2, rng)) for k in (0, 1)},
-        measurement=q.Measurement.pauli("x"),
-    )
-
-
 def test_lift_identity_strategy_gives_perfect_x_correlation():
     report = chsh_lift.evaluate_chsh(chsh_lift.lift(_identity_strategy()))
     assert report.per_input[(0, 0)] == pytest.approx(1.0, abs=1e-12)
@@ -50,7 +41,7 @@ def test_lifted_optimal_strategy_hits_tsirelson_per_input():
 
 def test_joint_table_normalized_per_input():
     rng = np.random.default_rng(7)
-    report = chsh_lift.evaluate_chsh(chsh_lift.lift(_random_normal_form(rng)))
+    report = chsh_lift.evaluate_chsh(chsh_lift.lift(chsh_lift.random_normal_form(rng)))
     for a in (0, 1):
         for b in (0, 1):
             total = sum(report.joint_table[(a, b, x, y)] for x in (0, 1) for y in (0, 1))
@@ -114,7 +105,7 @@ def test_verify_equivalence_thousand_random_strategies():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(1000):
-        ok, dev = chsh_lift.verify_equivalence(_random_normal_form(rng), tol=1e-12)
+        ok, dev = chsh_lift.verify_equivalence(chsh_lift.random_normal_form(rng), tol=1e-12)
         assert ok
         worst = max(worst, dev)
     assert worst <= 1e-12
@@ -141,7 +132,7 @@ def test_property_transpose_identity_on_bell_pair():
 def test_property_alice_marginal_uniform():
     rng = np.random.default_rng(302)
     for _ in range(50):
-        report = chsh_lift.evaluate_chsh(chsh_lift.lift(_random_normal_form(rng)))
+        report = chsh_lift.evaluate_chsh(chsh_lift.lift(chsh_lift.random_normal_form(rng)))
         for a in (0, 1):
             for b in (0, 1):
                 p_x0 = report.joint_table[(a, b, 0, 0)] + report.joint_table[(a, b, 0, 1)]

@@ -135,6 +135,24 @@ def test_explicit_seed_beats_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 9
 
 
+def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CHSHSTAR_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemma1", "--n-random", "3"])
+    assert exc.value.code == 2
+    assert "CHSHSTAR_SEED" in capsys.readouterr().err
+
+
+def test_verify_lemma1_rejects_bad_tol(capsys):
+    # NaN used to print "tol": NaN (not JSON) and fail with exit 1.
+    for tol in ("nan", "inf", "-1e-10"):
+        rc, out, err = run_cli(capsys, "verify-lemma1", "--n-random", "3", f"--tol={tol}",
+                               "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert "--tol" in err
+
+
 def test_verify_lemma1_passes(capsys, schema):
     rc, out, _ = run_cli(capsys, "verify-lemma1", "--n-random", "25", "--format", "json")
     assert rc == 0

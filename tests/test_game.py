@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chshstar import game
+from chshstar.chsh_lift import random_normal_form
 from chshstar import quantum as q
 from chshstar.settings import irreversible_strategy, optimal_unitary_strategy, trivial_strategy
 
@@ -165,15 +166,6 @@ def test_bad_function_table_rejected():
 N_PROPERTY = 500
 
 
-def _random_unitary_strategy(rng) -> game.Strategy:
-    return game.Strategy(
-        initial=q.State.from_ket(q.plus_ket()),
-        a_gates={k: q.Channel.unitary(q.random_unitary(2, rng)) for k in (0, 1)},
-        b_gates={k: q.Channel.unitary(q.random_unitary(2, rng)) for k in (0, 1)},
-        measurement=q.Measurement.pauli("x"),
-    )
-
-
 def _basis_changed(s: game.Strategy, u: np.ndarray) -> game.Strategy:
     """Compose u^+ after every B gate and u^+ . u around the measurement."""
     return game.Strategy(
@@ -191,7 +183,7 @@ def test_property_basis_change_invariance():
     rng = np.random.default_rng(201)
     spec = game.GameSpec(2)
     for _ in range(N_PROPERTY):
-        s = _random_unitary_strategy(rng)
+        s = random_normal_form(rng)
         u = q.random_unitary(2, rng)
         base = game.evaluate(spec, s)
         moved = game.evaluate(spec, _basis_changed(s, u))
@@ -203,7 +195,7 @@ def test_property_per_input_probabilities_in_range():
     rng = np.random.default_rng(202)
     spec = game.GameSpec(2)
     for _ in range(N_PROPERTY):
-        report = game.evaluate(spec, _random_unitary_strategy(rng))
+        report = game.evaluate(spec, random_normal_form(rng))
         for p in report.per_input.values():
             assert -1e-10 <= p <= 1 + 1e-10
 

@@ -93,6 +93,22 @@ def test_state_invariants_rejected():
         q.State(np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_entries_are_rejected():
+    # np.allclose counts inf as close to inf, so an inf off-diagonal once
+    # passed the Hermitian check and then gave NaN probabilities.
+    with pytest.raises(ValueError, match="Hermitian"):
+        q.State(np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        q.State(np.diag([np.nan, 1.0]).astype(complex))
+    # The outcome-sum check itself rejects NaN; reach it with a density that
+    # bypasses the State constructor.
+    unchecked = object.__new__(q.State)
+    object.__setattr__(unchecked, "density", np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="sum to nan"):
+        q.outcome_distribution(q.Measurement.pauli("x"), unchecked)
+
+
 def test_stack_checks_reject_a_single_bad_member():
     # Each batched check applies the per-object check to every matrix of
     # the stack: one invalid matrix among valid ones is enough to raise.

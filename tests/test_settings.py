@@ -255,6 +255,25 @@ def test_sweep_circuit_is_exactly_the_strategy_evaluation():
         assert p_circuit == game.evaluate(spec, settings.rz_pair_strategy(eps)).average
 
 
+def test_single_precision_epsilon_gives_the_double_precision_results():
+    # 0.5 is exact in float32, so a float32 epsilon must change nothing; the
+    # gates are computed in float64 and stay unitary to 1e-10.
+    eps32, eps = np.float32(0.5), 0.5
+    assert np.array_equal(q.rz(eps32), q.rz(eps))
+    assert np.array_equal(q.ry(eps32), q.ry(eps))
+    spec = game.GameSpec(2)
+    s32, s64 = settings.rz_pair_strategy(eps32), settings.rz_pair_strategy(eps)
+    for k in (0, 1):
+        assert np.array_equal(s32.b_gates[k].kraus[0], s64.b_gates[k].kraus[0])
+    assert game.evaluate(spec, s32) == game.evaluate(spec, s64)
+    assert settings.epsilon_sweep([eps32]) == settings.epsilon_sweep([eps])
+    value32, value = (
+        settings.compute_value(settings.SettingSpec("clifford_plus_rz", epsilon=e)).value
+        for e in (eps32, eps)
+    )
+    assert value32 == value
+
+
 # ---------------------------------------------------------------------------
 # Mod-3 settings
 # ---------------------------------------------------------------------------
