@@ -230,6 +230,15 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _warn_unconverged(result: settings.ValueResult) -> None:
+    """One stderr line when the optimizer's best run stopped before converging."""
+    if result.converged is False:
+        print(
+            "warning: the best optimizer run did not converge; the value may be below the optimum",
+            file=sys.stderr,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -258,6 +267,7 @@ def cmd_value(args) -> int:
     t0 = time.perf_counter()
     result = settings.compute_value(setting, config)
     elapsed = time.perf_counter() - t0
+    _warn_unconverged(result)
 
     payload = {
         "command": "value",
@@ -464,6 +474,7 @@ def cmd_reproduce_all(args) -> int:
         return row
 
     unitary = settings.value_unitary(config)
+    _warn_unconverged(unitary)
     check("unitary", unitary.value, TSIRELSON, tol=1e-4)
     clifford = settings.value_clifford()
     check("clifford", clifford.value, 0.75)

@@ -156,10 +156,8 @@ def check_density_stack(rhos: np.ndarray) -> None:
 
 
 def is_left_stochastic(m: np.ndarray) -> bool:
-    """Entries >= 0 and every column summing to 1."""
-    # Column sums may be off by ATOL_STRUCT plus a relative 1e-5, the default
-    # rtol of the np.allclose this check was specified with.
-    return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT + 1e-5)
+    """Entries >= 0 and every column summing to 1, to the trace-preservation tolerance."""
+    return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT)
 
 
 def is_unitary(u: np.ndarray) -> bool:

@@ -9,11 +9,12 @@ check before the result is handed back.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import game
 from .quantum import (
@@ -120,6 +121,8 @@ class ValueResult:
     method: str
     strategies_examined: int
     quantization_error: float | None = None
+    # Optimized settings: whether the best optimizer run converged.
+    converged: bool | None = None
 
 
 def _check_witness(value: float, reevaluated: float) -> None:
@@ -307,27 +310,32 @@ def value_clifford() -> ValueResult:
 def _search_classical(d, q, a_pool, b_pool, readouts, n_a, n_b):
     """Deterministic exhaustive search; first-found maximum wins.
 
-    Iteration is lexicographic over (initial symbol, A gates, B gates,
-    readout); gates are function tables.  Returns (best wins, witness, count).
+    Strategies are ordered lexicographically by (initial symbol, A gates,
+    B gates, readout); gates are function tables.  The win count of every
+    strategy is tabulated in a ``uint8`` array of shape (d, A tuples,
+    B tuples, readouts), one initial symbol at a time, and ``np.argmax``
+    returns the first maximum in that order.  Returns (best wins, witness,
+    count).
     """
-    spec = game.GameSpec(q)
-    inputs = spec.input_pairs()
-    targets = [(a * b) % q for a, b in inputs]
-    best_wins = -1
-    witness = None
-    examined = 0
-    for s0 in range(d):
-        for a_tabs in itertools.product(a_pool, repeat=n_a):
-            u = [a_tabs[a][s0] for a in range(n_a)]
-            for b_tabs in itertools.product(b_pool, repeat=n_b):
-                finals = [b_tabs[b][u[a]] for a, b in inputs]
-                for readout in readouts:
-                    examined += 1
-                    wins = sum(1 for f, t in zip(finals, targets) if readout[f] == t)
-                    if wins > best_wins:
-                        best_wins = wins
-                        witness = (s0, a_tabs, b_tabs, readout)
-    return best_wins, witness, examined
+    inputs = game.GameSpec(q).input_pairs()
+    a_tuples = list(itertools.product(a_pool, repeat=n_a))
+    b_tuples = list(itertools.product(b_pool, repeat=n_b))
+    a_tabs = np.array(a_tuples, dtype=np.uint8)  # (A tuples, n_a, d)
+    b_tabs = np.array(b_tuples, dtype=np.uint8)  # (B tuples, n_b, d)
+    # hits[i, symbol, readout]: reading ``symbol`` out wins on input pair i.
+    targets = np.array([(a * b) % q for a, b in inputs])
+    hits = (np.array(readouts).T[None] == targets[:, None, None]).astype(np.uint8)
+    # At most one win per input pair (9 for q = 3), so uint8 cannot wrap.
+    wins = np.zeros((d, len(a_tuples), len(b_tuples), len(readouts)), dtype=np.uint8)
+    for i, (a, b) in enumerate(inputs):
+        # by_symbol[u, B tuple, readout]: win on input i when A_a leaves symbol u.
+        by_symbol = hits[i][b_tabs[:, b, :].T]
+        for s0 in range(d):
+            wins[s0] += by_symbol[a_tabs[:, a, s0]]
+    best = np.unravel_index(int(np.argmax(wins)), wins.shape)
+    s0, ia, ib, ir = (int(k) for k in best)
+    witness = (s0, a_tuples[ia], b_tuples[ib], readouts[ir])
+    return int(wins[best]), witness, wins.size
 
 
 def _classical_result(d, q, wins, witness_tuple, examined) -> ValueResult:
@@ -407,15 +415,77 @@ def _bloch_ket(theta: float, phi: float) -> np.ndarray:
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)
 
 
-def _win_average(gates: list[np.ndarray], psi0: np.ndarray, e_plus: np.ndarray) -> float:
-    a_gates, b_gates = gates[:2], gates[2:]
+def _objective(angles: np.ndarray, free_state_and_measurement: bool) -> float:
+    """Minus the average win of ``_euler_strategy(angles, ...)``, in scalar arithmetic.
+
+    Angles 3k..3k+2 give gate k of (A0, A1, B0, B1) as
+    rz(alpha) ry(beta) rz(gamma) = [[c, -s e^{i gamma}], [s e^{i alpha}, c e^{i(alpha+gamma)}]]
+    with c = cos(beta/2), s = sin(beta/2).  Free mode takes the Bloch angles
+    of the initial ket from 12, 13 and of the + outcome from 14, 15; fixed
+    mode applies the gates to (1, 1), |+> without its exact factor 1/sqrt(2),
+    which ``norm`` restores, and measures along x.  With n_e and n_psi the
+    Bloch vectors of the + outcome and of the final ket, a win has
+    probability (1 +- n_e . n_psi) / 2, so the average is 1/2 plus a small
+    sum whose rounding stays below the ulp of 1/2.  This is the optimizer's
+    inner loop, so it runs on Python floats and complex numbers.
+    """
+    x = angles.tolist()
+    gates = []
+    for k in (0, 3, 6, 9):
+        c, s = math.cos(x[k + 1] / 2), math.sin(x[k + 1] / 2)
+        ea, eg = cmath.exp(1j * x[k]), cmath.exp(1j * x[k + 2])
+        gates.append((c, -s * eg, s * ea, c * ea * eg))
+    if free_state_and_measurement:
+        p0, p1 = math.cos(x[12] / 2), cmath.exp(1j * x[13]) * math.sin(x[12] / 2)
+        st = math.sin(x[14])
+        nx, ny, nz = st * math.cos(x[15]), st * math.sin(x[15]), math.cos(x[14])
+        norm = 1.0
+    else:
+        p0 = p1 = 1.0
+        nx, ny, nz = 1.0, 0.0, 0.0
+        norm = 0.5
     total = 0.0
     for a in (0, 1):
+        u00, u01, u10, u11 = gates[a]
+        v0, v1 = u00 * p0 + u01 * p1, u10 * p0 + u11 * p1
         for b in (0, 1):
-            psi = b_gates[b] @ (a_gates[a] @ psi0)
-            p_plus = abs(np.vdot(e_plus, psi)) ** 2
-            total += p_plus if a * b == 0 else 1.0 - p_plus
-    return total / 4.0
+            w00, w01, w10, w11 = gates[2 + b]
+            f0, f1 = w00 * v0 + w01 * v1, w10 * v0 + w11 * v1
+            c = f0.conjugate() * f1
+            z = f0.real * f0.real + f0.imag * f0.imag - f1.real * f1.real - f1.imag * f1.imag
+            dot = norm * (2.0 * (nx * c.real + ny * c.imag) + nz * z)
+            total += -dot if a * b else dot
+    return -(0.5 + total / 8.0)
+
+
+def _euler_strategy(angles: np.ndarray, free_state_and_measurement: bool) -> game.Strategy:
+    """The strategy whose average win ``_objective`` computes from ``angles``."""
+    gates = [Channel.unitary(_euler(angles[3 * k:3 * k + 3])) for k in range(4)]
+    if free_state_and_measurement:
+        initial = State.from_ket(_bloch_ket(angles[12], angles[13]))
+        e_plus = _bloch_ket(angles[14], angles[15])
+        e_minus = np.array([-e_plus[1].conj(), e_plus[0].conj()], dtype=complex)
+        measurement = Measurement.from_basis([e_plus, e_minus])
+    else:
+        initial = State.from_ket(plus_ket())
+        measurement = Measurement.pauli("x")
+    return game.Strategy(
+        initial=initial,
+        a_gates={0: gates[0], 1: gates[1]},
+        b_gates={0: gates[2], 1: gates[3]},
+        measurement=measurement,
+    )
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Importing ``scipy.optimize`` takes most of the package's import time and
+    only the unitary optimizer needs it, so it is loaded here, not at import.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def value_unitary(
@@ -431,31 +501,23 @@ def value_unitary(
     the degenerate {0, I} measurement (which plays a constant and reaches
     0.75 at best) is included explicitly.  Derivative-free Nelder-Mead from
     seeded random restarts; ``initial_points`` adds explicit extra starts.
+    ``converged`` of the result is the success flag of the best restart.
     """
     config = config or OptimizerConfig()
-    plus = plus_ket()
     n_params = 16 if free_state_and_measurement else 12
-
-    def objective(angles: np.ndarray) -> float:
-        gates = [_euler(angles[3 * k:3 * k + 3]) for k in range(4)]
-        if free_state_and_measurement:
-            psi0 = _bloch_ket(angles[12], angles[13])
-            e_plus = _bloch_ket(angles[14], angles[15])
-        else:
-            psi0, e_plus = plus, plus
-        return -_win_average(gates, psi0, e_plus)
 
     rng = np.random.default_rng(config.seed)
     starts = [np.asarray(p, dtype=float) for p in (initial_points or [])]
     starts += [rng.uniform(0.0, 2 * np.pi, size=n_params) for _ in range(config.restarts)]
 
-    best_val, best_angles, evaluations = -np.inf, None, 0
+    best_val, best_angles, converged, evaluations = -np.inf, None, None, 0
     for x0 in starts:
         if x0.shape != (n_params,):
             raise ValueError(f"start point must have {n_params} angles, got {x0.shape}")
         res = minimize(
-            objective,
+            _objective,
             x0,
+            args=(free_state_and_measurement,),
             method="Nelder-Mead",
             options={
                 "maxiter": config.max_iterations,
@@ -465,36 +527,26 @@ def value_unitary(
         )
         evaluations += int(res.nfev)
         if -res.fun > best_val:
-            best_val, best_angles = -res.fun, res.x
+            best_val, best_angles, converged = -res.fun, res.x, bool(res.success)
 
-    gates = [_euler(best_angles[3 * k:3 * k + 3]) for k in range(4)]
-    if free_state_and_measurement:
-        psi0 = _bloch_ket(best_angles[12], best_angles[13])
-        e_plus = _bloch_ket(best_angles[14], best_angles[15])
-        e_minus = np.array([-e_plus[1].conj(), e_plus[0].conj()], dtype=complex)
-        measurement = Measurement.from_basis([e_plus, e_minus])
-        initial = State.from_ket(psi0)
-        # Rank-0/rank-2 projector pairs act as a constant answer: value 0.75.
-        if best_val < 0.75:
-            return ValueResult(
-                value=0.75,
-                witness=trivial_strategy(),
-                method="optimized",
-                strategies_examined=evaluations,
-            )
-    else:
-        measurement = Measurement.pauli("x")
-        initial = State.from_ket(plus)
-    witness = game.Strategy(
-        initial=initial,
-        a_gates={0: Channel.unitary(gates[0]), 1: Channel.unitary(gates[1])},
-        b_gates={0: Channel.unitary(gates[2]), 1: Channel.unitary(gates[3])},
-        measurement=measurement,
-    )
+    # Rank-0/rank-2 projector pairs act as a constant answer: value 0.75.
+    if free_state_and_measurement and best_val < 0.75:
+        return ValueResult(
+            value=0.75,
+            witness=trivial_strategy(),
+            method="optimized",
+            strategies_examined=evaluations,
+            converged=converged,
+        )
+    witness = _euler_strategy(best_angles, free_state_and_measurement)
     report = game.evaluate(game.GameSpec(2), witness)
     _check_witness(best_val, report.average)
     return ValueResult(
-        value=best_val, witness=witness, method="optimized", strategies_examined=evaluations
+        value=best_val,
+        witness=witness,
+        method="optimized",
+        strategies_examined=evaluations,
+        converged=converged,
     )
 
 

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from chshstar import cli
+import chshstar
+from chshstar import cli, settings
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -48,13 +53,32 @@ def test_value_irreversible_json(capsys, schema):
 
 
 def test_value_unitary_json(capsys, schema):
-    rc, out, _ = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
+    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
     assert rc == 0
+    assert "warning" not in err
     payload = json.loads(out)
     validate(payload, schema)
     assert abs(payload["value"] - TSIRELSON) < 1e-4
     assert payload["method"] == "optimized"
     assert payload["seed"] == 12345
+
+
+def test_value_unitary_warns_when_not_converged(capsys, schema):
+    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--max-iterations", "1",
+                           "--format", "json")
+    assert rc == 0
+    validate(json.loads(out), schema)
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert "converge" in err
+
+
+def test_import_does_not_load_the_optimizer():
+    src = os.path.dirname(os.path.dirname(chshstar.__file__))
+    code = "import sys, chshstar, chshstar.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_value_reversible_d3(capsys, schema):
@@ -287,6 +311,16 @@ def test_reproduce_all(capsys, schema):
     names = {c["name"] for c in payload["checks"]}
     assert {"unitary", "clifford", "classical_reversible_d2",
             "classical_irreversible", "classical_reversible_d3"} <= names
+
+
+def test_reproduce_all_warns_when_not_converged(capsys, monkeypatch):
+    value_unitary = settings.value_unitary
+    monkeypatch.setattr(settings, "value_unitary",
+                        lambda config: value_unitary(replace(config, max_iterations=1)))
+    rc, out, err = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
+    assert rc == 1  # the unitary row misses cos^2(pi/8)
+    assert json.loads(out)["all_ok"] is False
+    assert err.count("\n") == 1 and err.startswith("warning: ")
 
 
 def test_csv_not_available_outside_sweep():

@@ -148,6 +148,24 @@ def test_non_stochastic_gate_rejected():
         )
 
 
+def test_column_sums_off_by_more_than_the_channel_tolerance_rejected():
+    # A column summing to 1 + 1e-6 is no trace-preserving channel, so it is
+    # rejected as a classical gate and as a channel alike.
+    m = [[1 + 1e-6, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="left-stochastic"):
+        game.stochastic_matrix(m, 2)
+    with pytest.raises(ValueError, match="left-stochastic"):
+        q.Channel.classical(np.array(m))
+
+
+def test_dirichlet_column_matrices_accepted():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 5):
+        m = rng.dirichlet(np.ones(d), size=d).T
+        assert np.array_equal(game.stochastic_matrix(m, d), m)
+        q.Channel.classical(m)
+
+
 def test_bad_function_table_rejected():
     with pytest.raises(ValueError, match="map"):
         game.ClassicalStrategy(

@@ -126,6 +126,7 @@ def test_value_unitary_reaches_tsirelson():
     result = settings.value_unitary()
     assert abs(result.value - TSIRELSON) < 1e-6
     assert result.method == "optimized"
+    assert result.converged is True
     report = game.evaluate(game.GameSpec(2), result.witness)
     assert abs(report.average - result.value) <= 1e-9
 
@@ -139,6 +140,22 @@ def test_value_unitary_free_mode_matches_fixed_mode():
     fixed = settings.value_unitary()
     free = settings.value_unitary(free_state_and_measurement=True)
     assert abs(fixed.value - free.value) < 1e-6
+
+
+def test_value_unitary_reports_non_convergence():
+    short = settings.value_unitary(settings.OptimizerConfig(max_iterations=1))
+    assert short.converged is False
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_objective_is_minus_the_evaluated_average(free):
+    rng = np.random.default_rng(31 + free)
+    spec = game.GameSpec(2)
+    for _ in range(200):
+        angles = rng.uniform(0.0, 2 * np.pi, size=16 if free else 12)
+        strategy = settings._euler_strategy(angles, free)
+        expected = -game.evaluate(spec, strategy).average
+        assert abs(settings._objective(angles, free) - expected) <= 1e-12
 
 
 def _z_rotation_average(phi_a0, phi_a1, phi_b0, phi_b1):
@@ -334,6 +351,45 @@ def test_value_classical_q3_full_search():
     assert report.average == 7 / 9
     wins = [v for v in report.per_input.values() if v == 1.0]
     assert len(wins) == 7
+
+
+def _nested_loop_search(d, q_mod, a_pool, b_pool, readouts, n_a, n_b):
+    """Reference search: one strategy at a time, first-found maximum wins."""
+    inputs = game.GameSpec(q_mod).input_pairs()
+    targets = [(a * b) % q_mod for a, b in inputs]
+    best_wins, witness, examined = -1, None, 0
+    for s0 in range(d):
+        for a_tabs in itertools.product(a_pool, repeat=n_a):
+            for b_tabs in itertools.product(b_pool, repeat=n_b):
+                finals = [b_tabs[b][a_tabs[a][s0]] for a, b in inputs]
+                for readout in readouts:
+                    examined += 1
+                    wins = sum(readout[f] == t for f, t in zip(finals, targets))
+                    if wins > best_wins:
+                        best_wins, witness = wins, (s0, a_tabs, b_tabs, readout)
+    return best_wins, witness, examined
+
+
+def test_classical_searches_match_the_nested_loop_reference(monkeypatch):
+    calls = []
+    search = settings._search_classical
+
+    def recorded(*args):
+        result = search(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(settings, "_search_classical", recorded)
+    settings.value_classical_q3("all")
+    settings.value_classical_q3("cyclic")
+    settings.value_classical_reversible(2)
+    settings.value_classical_reversible(3)
+    settings.value_classical_irreversible()
+    settings.value_classical_irreversible(bijective_only=True)
+    assert len(calls) == 6
+    for args, (wins, witness, examined) in calls:
+        assert (wins, witness, examined) == _nested_loop_search(*args)
+        assert type(wins) is int and type(examined) is int
 
 
 def test_value_classical_q3_rejects_unknown_family():
