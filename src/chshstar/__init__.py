@@ -78,12 +78,12 @@ from .settings import (
     value_classical_q3,
     value_classical_reversible,
     value_clifford,
+    value_clifford_plus_rz,
     value_qutrit_q3_fixed,
     value_unitary,
 )
 from .landauer import (
     EntropyReport,
-    ErasureStrategy,
     entropy_ledger,
     erasure_report,
     erasure_strategy,

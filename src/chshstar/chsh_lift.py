@@ -58,15 +58,19 @@ class ChshReport:
     joint_table: dict[tuple[int, int, int, int], float]
 
 
-def random_normal_form(rng: np.random.Generator) -> game.Strategy:
-    """Normal-form strategy with random unitary gates, drawn as A0, A1, B0, B1."""
-    a0, a1, b0, b1 = (Channel.unitary(random_unitary(2, rng)) for _ in range(4))
+def normal_form(a0, a1, b0, b1) -> game.Strategy:
+    """Normal-form strategy: |+>, the unitaries A0, A1, B0, B1, X measurement."""
     return game.Strategy(
         initial=State.from_ket(plus_ket()),
-        a_gates={0: a0, 1: a1},
-        b_gates={0: b0, 1: b1},
+        a_gates={0: Channel.unitary(a0), 1: Channel.unitary(a1)},
+        b_gates={0: Channel.unitary(b0), 1: Channel.unitary(b1)},
         measurement=Measurement.pauli("x"),
     )
+
+
+def random_normal_form(rng: np.random.Generator) -> game.Strategy:
+    """Normal-form strategy with random unitary gates, drawn as A0, A1, B0, B1."""
+    return normal_form(*(random_unitary(2, rng) for _ in range(4)))
 
 
 def _require_normal_form(s: game.Strategy) -> None:

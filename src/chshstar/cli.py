@@ -9,6 +9,12 @@ landauer        erasure probability, game value and entropy ledger
 q3              mod-3 game: classical searches and the fixed qutrit play
 reproduce-all   run everything and print a value-table summary
 
+Each ``cmd_*`` computes its result and describes it as ``(payload, lines,
+passed)``: the JSON payload, the text lines (CSV lines for ``sweep-epsilon
+--format csv``) and False on a failed verification.  Only ``main`` renders,
+writes ``--output``, prints and picks the exit code; commands raise
+``ValueError`` on usage errors and warn on stderr when the optimizer stalls.
+
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
 payload); the schema ships at ``chshstar/schemas/cli_output.schema.json``.
@@ -105,50 +111,39 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _matches(matrices, references) -> bool:
+    """Equal counts, and each matrix equal in shape and, to 1e-9, entrywise to its reference."""
+    return len(matrices) == len(references) and all(
+        np.shape(m) == np.shape(r) and np.allclose(m, r, atol=1e-9, rtol=0.0)
+        for m, r in zip(matrices, references)
+    )
+
+
 def _gate_json(ch: Channel) -> dict:
     if len(ch.kraus) == 1:
         name = gate_name(ch.kraus[0])
         if name is not None:
             return {"name": name}
         return {"matrix": _matrix_json(ch.kraus[0])}
-    erase = Channel.erase()
-    if len(ch.kraus) == len(erase.kraus) and all(
-        np.allclose(k, e, atol=1e-9, rtol=0.0) for k, e in zip(ch.kraus, erase.kraus)
-    ):
+    if _matches(ch.kraus, Channel.erase().kraus):
         return {"name": "ERASE"}
     return {"kraus": [_matrix_json(k) for k in ch.kraus]}
 
 
 def _state_name(density: np.ndarray) -> str | None:
-    if density.shape == (2, 2):
-        for name, ket in pauli_eigenstates().items():
-            if np.allclose(density, projector(ket), atol=1e-9, rtol=0.0):
-                return name
-    if density.shape == (3, 3):
-        t3_plus = qudit_gates(3)["T3"] @ plus_ket(3)
-        if np.allclose(density, projector(t3_plus), atol=1e-9, rtol=0.0):
-            return "T3|+>"
-        if np.allclose(density, projector(plus_ket(3)), atol=1e-9, rtol=0.0):
-            return "|+>"
-    return None
+    t3_plus = qudit_gates(3)["T3"] @ plus_ket(3)
+    named = [*pauli_eigenstates().items(), ("T3|+>", t3_plus), ("|+>", plus_ket(3))]
+    return next((name for name, ket in named if _matches([density], [projector(ket)])), None)
 
 
 def _measurement_json(m: Measurement) -> dict:
-    for axis in ("x", "y", "z"):
-        ref = Measurement.pauli(axis)
-        if m.dim == 2 and all(
-            np.allclose(p, q, atol=1e-9, rtol=0.0) for p, q in zip(m.projectors, ref.projectors)
-        ):
-            return {"name": axis.upper(), "labels": list(m.outcome_labels)}
-    ref = Measurement.fourier(m.dim) if m.dim >= 2 else None
-    if ref is not None and len(m.projectors) == len(ref.projectors) and all(
-        np.allclose(p, q, atol=1e-9, rtol=0.0) for p, q in zip(m.projectors, ref.projectors)
-    ):
-        return {"name": f"F{m.dim}", "labels": list(m.outcome_labels)}
-    return {
-        "labels": list(m.outcome_labels),
-        "projectors": [_matrix_json(p) for p in m.projectors],
-    }
+    named = [(axis.upper(), Measurement.pauli(axis)) for axis in ("x", "y", "z")]
+    named.append((f"F{m.dim}", Measurement.fourier(m.dim)))
+    labels = list(m.outcome_labels)
+    for name, ref in named:
+        if _matches(m.projectors, ref.projectors):
+            return {"name": name, "labels": labels}
+    return {"labels": labels, "projectors": [_matrix_json(p) for p in m.projectors]}
 
 
 def _witness_json(witness) -> dict:
@@ -171,12 +166,8 @@ def _witness_json(witness) -> dict:
             "b_gates": tables(witness.b_gates),
             "readout": list(witness.readout),
         }
-    initial: dict = {}
     name = _state_name(witness.initial.density)
-    if name is not None:
-        initial["name"] = name
-    else:
-        initial["density"] = _matrix_json(witness.initial.density)
+    initial = {"name": name} if name else {"density": _matrix_json(witness.initial.density)}
     return {
         "type": "quantum",
         "dimension": witness.dim,
@@ -187,24 +178,22 @@ def _witness_json(witness) -> dict:
     }
 
 
-def _witness_text(witness) -> list[str]:
-    data = _witness_json(witness)
-    lines = []
-    if data["type"] == "classical":
-        lines.append(f"  initial symbol: {data['initial']}")
-        for stage in ("a_gates", "b_gates"):
-            for k, tab in data[stage].items():
-                lines.append(f"  {stage[0].upper()}{k} = {tab}")
-        lines.append(f"  readout: {data['readout']}")
-        return lines
-    lines.append(f"  initial: {data['initial'].get('name', data['initial'].get('density'))}")
+def _witness_text(data: dict) -> list[str]:
+    """Text lines of a witness from its JSON form."""
+    classical = data["type"] == "classical"
+    if classical:
+        lines = [f"  initial symbol: {data['initial']}"]
+    else:
+        lines = [f"  initial: {data['initial'].get('name', data['initial'].get('density'))}"]
     for stage in ("a_gates", "b_gates"):
         for k, g in data[stage].items():
-            shown = g.get("name") or g.get("matrix") or g.get("kraus")
+            shown = g if classical else g.get("name") or g.get("matrix") or g.get("kraus")
             lines.append(f"  {stage[0].upper()}{k} = {shown}")
-    meas = data["measurement"]
-    shown = meas.get("name", "projectors")
-    lines.append(f"  measurement: {shown}, labels {meas['labels']}")
+    if classical:
+        lines.append(f"  readout: {data['readout']}")
+    else:
+        meas = data["measurement"]
+        lines.append(f"  measurement: {meas.get('name', 'projectors')}, labels {meas['labels']}")
     return lines
 
 
@@ -212,18 +201,6 @@ def _fmt_value(v: float) -> str:
     symbol = value_symbol(v)
     text = f"{v:.12f}"
     return f"{text} (= {symbol})" if symbol else text
-
-
-def _emit(payload_text: str, output_path: str | None) -> int:
-    if output_path:
-        try:
-            with open(output_path, "w") as fh:
-                fh.write(payload_text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {output_path}: {exc}", file=sys.stderr)
-            return 2
-    print(payload_text)
-    return 0
 
 
 def _dump_json(payload: dict) -> str:
@@ -244,19 +221,20 @@ def _warn_unconverged(result: settings.ValueResult) -> None:
 # ---------------------------------------------------------------------------
 
 _SETTING_CLI = {
-    "unitary": ("unitary", 2),
-    "clifford": ("clifford", 2),
-    "reversible": ("classical_reversible", None),
-    "irreversible": ("classical_irreversible", 2),
-    "clifford-plus-rz": ("clifford_plus_rz", 2),
-    "qutrit-q3": ("qutrit_unitary_fixed", 3),
-    "classical-q3": ("classical_q3_reversible", 3),
+    "unitary": "unitary",
+    "clifford": "clifford",
+    "reversible": "classical_reversible",
+    "irreversible": "classical_irreversible",
+    "clifford-plus-rz": "clifford_plus_rz",
+    "qutrit-q3": "qutrit_unitary_fixed",
+    "classical-q3": "classical_q3_reversible",
 }
 
 
-def cmd_value(args) -> int:
-    kind, fixed_dim = _SETTING_CLI[args.setting]
-    dimension = fixed_dim if fixed_dim is not None else args.dimension
+def cmd_value(args) -> tuple[dict, list[str], bool]:
+    kind = _SETTING_CLI[args.setting]
+    dimensions, _ = settings.SETTINGS[kind]
+    dimension = dimensions[0] if len(dimensions) == 1 else args.dimension
     setting = settings.SettingSpec(kind=kind, dimension=dimension, epsilon=args.epsilon)
     config = settings.OptimizerConfig(
         restarts=args.restarts,
@@ -285,20 +263,18 @@ def cmd_value(args) -> int:
     if args.epsilon is not None:
         payload["epsilon"] = args.epsilon
 
-    if args.format == "json":
-        return _emit(_dump_json(payload), args.output)
     lines = [
         f"setting: {args.setting} (d={dimension})",
         f"value: {_fmt_value(result.value)}",
         f"method: {result.method}",
         f"strategies examined: {result.strategies_examined}",
         "witness:",
-        *_witness_text(result.witness),
+        *_witness_text(payload["witness"]),
         f"wall time: {elapsed:.3f} s",
     ]
     if result.quantization_error is not None:
         lines.insert(4, f"max deviation from 1/8 grid: {result.quantization_error:.3e}")
-    return _emit("\n".join(lines), args.output)
+    return payload, lines, True
 
 
 def _lemma1_max_deviation(seed: int, n_random: int) -> tuple[float, int]:
@@ -311,13 +287,11 @@ def _lemma1_max_deviation(seed: int, n_random: int) -> tuple[float, int]:
     return max_dev, len(strategies)
 
 
-def cmd_verify_lemma1(args) -> int:
+def cmd_verify_lemma1(args) -> tuple[dict, list[str], bool]:
     if args.n_random < 1:
-        print("error: --n-random must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--n-random must be >= 1")
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print("error: --tol must be a finite number >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--tol must be a finite number >= 0")
     max_dev, checked = _lemma1_max_deviation(args.seed, args.n_random)
     passed = max_dev <= args.tol
 
@@ -330,23 +304,13 @@ def cmd_verify_lemma1(args) -> int:
         "max_deviation": max_dev,
         "passed": passed,
     }
-    if args.format == "json":
-        rc = _emit(_dump_json(payload), args.output)
-    else:
-        rc = _emit(
-            "\n".join(
-                [
-                    f"strategies checked: {checked} (optimal + {args.n_random} random)",
-                    f"seed: {args.seed}",
-                    f"max per-input deviation: {max_dev:.3e} (tolerance {args.tol:.1e})",
-                    f"result: {'PASS' if passed else 'FAIL'}",
-                ]
-            ),
-            args.output,
-        )
-    if rc != 0:
-        return rc
-    return 0 if passed else 1
+    lines = [
+        f"strategies checked: {checked} (optimal + {args.n_random} random)",
+        f"seed: {args.seed}",
+        f"max per-input deviation: {max_dev:.3e} (tolerance {args.tol:.1e})",
+        f"result: {'PASS' if passed else 'FAIL'}",
+    ]
+    return payload, lines, passed
 
 
 def _sweep_summary(steps: int) -> tuple[list, float, tuple]:
@@ -357,51 +321,42 @@ def _sweep_summary(steps: int) -> tuple[list, float, tuple]:
     return rows, max_delta, best
 
 
-def cmd_sweep_epsilon(args) -> int:
+def cmd_sweep_epsilon(args) -> tuple[dict, list[str], bool]:
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("--steps must be >= 2")
     rows, max_delta, best = _sweep_summary(args.steps)
 
+    payload = {
+        "command": "sweep_epsilon",
+        "steps": args.steps,
+        "rows": [
+            {"epsilon": eps, "p_formula": pf, "p_circuit": pc} for eps, pf, pc in rows
+        ],
+        "max_abs_delta": max_delta,
+        "max_point": {"epsilon": best[0], "p_formula": best[1]},
+    }
     if args.format == "csv":
-        lines = ["epsilon,p_formula,p_circuit"]
-        lines += [f"{eps!r},{pf!r},{pc!r}" for eps, pf, pc in rows]
-        return _emit("\n".join(lines), args.output)
-    if args.format == "json":
-        payload = {
-            "command": "sweep_epsilon",
-            "steps": args.steps,
-            "rows": [
-                {"epsilon": eps, "p_formula": pf, "p_circuit": pc} for eps, pf, pc in rows
-            ],
-            "max_abs_delta": max_delta,
-            "max_point": {"epsilon": best[0], "p_formula": best[1]},
-        }
-        return _emit(_dump_json(payload), args.output)
-    lines = [
-        f"{'epsilon':>12}  {'p_formula':>18}  {'p_circuit':>18}",
-    ]
-    lines += [f"{eps:12.8f}  {pf:18.14f}  {pc:18.14f}" for eps, pf, pc in rows]
-    lines.append(f"max |p_formula - p_circuit|: {max_delta:.3e}")
-    lines.append(f"max p_formula: {_fmt_value(best[1])} at epsilon = {best[0]:.8f}")
-    return _emit("\n".join(lines), args.output)
+        lines = ["epsilon,p_formula,p_circuit", *(f"{eps!r},{pf!r},{pc!r}" for eps, pf, pc in rows)]
+    else:
+        lines = [
+            f"{'epsilon':>12}  {'p_formula':>18}  {'p_circuit':>18}",
+            *(f"{eps:12.8f}  {pf:18.14f}  {pc:18.14f}" for eps, pf, pc in rows),
+            f"max |p_formula - p_circuit|: {max_delta:.3e}",
+            f"max p_formula: {_fmt_value(best[1])} at epsilon = {best[0]:.8f}",
+        ]
+    return payload, lines, True
 
 
-def cmd_landauer(args) -> int:
+def cmd_landauer(args) -> tuple[dict, list[str], bool]:
     if (args.p is None) == (args.target is None):
-        print("error: give exactly one of --p or --target", file=sys.stderr)
-        return 2
-    try:
-        if args.p is not None:
-            p = float(args.p)
-        else:
-            target = TSIRELSON if args.target == "tsirelson" else float(args.target)
-            p = landauer.solve_erasure_probability(target)
-        report = landauer.erasure_report(p)
-        entropy = landauer.entropy_ledger(p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --p or --target")
+    if args.p is not None:
+        p = args.p
+    else:
+        target = TSIRELSON if args.target == "tsirelson" else float(args.target)
+        p = landauer.solve_erasure_probability(target)
+    report = landauer.erasure_report(p)
+    entropy = landauer.entropy_ledger(p)
 
     payload = {
         "command": "landauer",
@@ -417,20 +372,17 @@ def cmd_landauer(args) -> int:
             "unit": entropy.unit,
         },
     }
-    if args.format == "json":
-        return _emit(_dump_json(payload), args.output)
     lines = [
         f"erase probability: {p:.12f}" + (" (= sqrt(2)-1)" if value_symbol(p) == "sqrt(2)-1" else ""),
         f"game value: {_fmt_value(report.average)}",
         "expected bits erased per input:",
+        *(f"  (a={a}, b={b}): {v:.12f}" for (a, b), v in sorted(entropy.per_input_bits_erased.items())),
+        f"average entropy: {entropy.average_bits:.12f} {entropy.unit}",
     ]
-    for (a, b), v in sorted(entropy.per_input_bits_erased.items()):
-        lines.append(f"  (a={a}, b={b}): {v:.12f}")
-    lines.append(f"average entropy: {entropy.average_bits:.12f} {entropy.unit}")
-    return _emit("\n".join(lines), args.output)
+    return payload, lines, True
 
 
-def cmd_q3(args) -> int:
+def cmd_q3(args) -> tuple[dict, list[str], bool]:
     classical = settings.value_classical_q3()
     cyclic = settings.value_classical_q3(gate_family="cyclic")
     qutrit = settings.value_qutrit_q3_fixed()
@@ -448,8 +400,6 @@ def cmd_q3(args) -> int:
         "qutrit_minus_classical": qutrit.value - classical.value,
         "classical_witness": _witness_json(classical.witness),
     }
-    if args.format == "json":
-        return _emit(_dump_json(payload), args.output)
     lines = [
         f"classical value (all permutation gates): {_fmt_value(classical.value)}",
         f"  strategies examined: {classical.strategies_examined}",
@@ -458,10 +408,10 @@ def cmd_q3(args) -> int:
         f"qutrit - 2/3 margin: {qutrit.value - 2 / 3:+.12f}",
         f"qutrit - classical(all) margin: {qutrit.value - classical.value:+.12f}",
     ]
-    return _emit("\n".join(lines), args.output)
+    return payload, lines, True
 
 
-def cmd_reproduce_all(args) -> int:
+def cmd_reproduce_all(args) -> tuple[dict, list[str], bool]:
     config = settings.OptimizerConfig(seed=args.seed)
     checks: list[dict] = []
 
@@ -476,14 +426,10 @@ def cmd_reproduce_all(args) -> int:
     unitary = settings.value_unitary(config)
     _warn_unconverged(unitary)
     check("unitary", unitary.value, TSIRELSON, tol=1e-4)
-    clifford = settings.value_clifford()
-    check("clifford", clifford.value, 0.75)
-    rev2 = settings.value_classical_reversible(2)
-    check("classical_reversible_d2", rev2.value, 0.75)
-    irrev = settings.value_classical_irreversible()
-    check("classical_irreversible", irrev.value, 1.0)
-    rev3 = settings.value_classical_reversible(3)
-    check("classical_reversible_d3", rev3.value, 1.0)
+    check("clifford", settings.value_clifford().value, 0.75)
+    check("classical_reversible_d2", settings.value_classical_reversible(2).value, 0.75)
+    check("classical_irreversible", settings.value_classical_irreversible().value, 1.0)
+    check("classical_reversible_d3", settings.value_classical_reversible(3).value, 1.0)
 
     max_dev, _ = _lemma1_max_deviation(args.seed, args.n_random)
     checks.append({"name": "lemma1_max_deviation", "value": max_dev, "ok": bool(max_dev <= 1e-10)})
@@ -497,31 +443,23 @@ def cmd_reproduce_all(args) -> int:
     check("landauer_entropy_at_tsirelson", landauer.entropy_ledger(p).average_bits,
           float(np.sqrt(2) - 1) / 4, tol=1e-12)
 
-    q3_classical = settings.value_classical_q3()
-    check("classical_q3_all_gates", q3_classical.value, None)
-    q3_cyclic = settings.value_classical_q3(gate_family="cyclic")
-    check("classical_q3_cyclic_gates", q3_cyclic.value, 2 / 3)
+    check("classical_q3_all_gates", settings.value_classical_q3().value, None)
+    check("classical_q3_cyclic_gates", settings.value_classical_q3(gate_family="cyclic").value, 2 / 3)
     qutrit = settings.value_qutrit_q3_fixed()
     row = check("qutrit_q3_fixed", qutrit.value, None)
     row["ok"] = bool(round(qutrit.value, 2) == 0.71 and qutrit.value > 2 / 3)
 
     all_ok = all(c.get("ok", True) for c in checks)
     payload = {"command": "reproduce_all", "seed": args.seed, "checks": checks, "all_ok": all_ok}
-    if args.format == "json":
-        rc = _emit(_dump_json(payload), args.output)
-    else:
-        lines = [f"{'setting / check':<32} {'value':>20} {'expected':>16}  ok"]
-        for c in checks:
-            expected = c.get("expected")
-            expected_text = f"{expected:.12g}" if expected is not None else "-"
-            ok_text = {True: "yes", False: "NO"}.get(c.get("ok"), "-")
-            symbol = f" (= {c['symbolic']})" if c.get("symbolic") else ""
-            lines.append(f"{c['name']:<32} {c['value']:>20.12f} {expected_text:>16}  {ok_text}{symbol}")
-        lines.append(f"all checks passed: {'yes' if all_ok else 'NO'}")
-        rc = _emit("\n".join(lines), args.output)
-    if rc != 0:
-        return rc
-    return 0 if all_ok else 1
+    lines = [f"{'setting / check':<32} {'value':>20} {'expected':>16}  ok"]
+    for c in checks:
+        expected = c.get("expected")
+        expected_text = f"{expected:.12g}" if expected is not None else "-"
+        ok_text = {True: "yes", False: "NO"}.get(c.get("ok"), "-")
+        symbol = f" (= {c['symbolic']})" if c.get("symbolic") else ""
+        lines.append(f"{c['name']:<32} {c['value']:>20.12f} {expected_text:>16}  {ok_text}{symbol}")
+    lines.append(f"all checks passed: {'yes' if all_ok else 'NO'}")
+    return payload, lines, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +484,11 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add_common(p, func, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="also write the output to this path")
         p.add_argument("--seed", type=int, default=default_seed)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("value", help="game value for one setting")
     p.add_argument("--setting", choices=sorted(_SETTING_CLI), required=True)
@@ -558,34 +497,28 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iterations", type=int, default=4000)
     p.add_argument("--tolerance", type=float, default=1e-12)
-    add_common(p)
-    p.set_defaults(func=cmd_value)
+    add_common(p, cmd_value)
 
     p = sub.add_parser("verify-lemma1", help="check the two-player equivalence numerically")
     p.add_argument("--n-random", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p)
-    p.set_defaults(func=cmd_verify_lemma1)
+    add_common(p, cmd_verify_lemma1)
 
     p = sub.add_parser("sweep-epsilon", help="rz(epsilon) family: formula vs circuit")
     p.add_argument("--steps", type=int, default=1001)
-    add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=cmd_sweep_epsilon)
+    add_common(p, cmd_sweep_epsilon, formats=("text", "json", "csv"))
 
     p = sub.add_parser("landauer", help="erasure probability, value and entropy ledger")
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--target", default=None, help="target value in [0.75, 1], or 'tsirelson'")
-    add_common(p)
-    p.set_defaults(func=cmd_landauer)
+    add_common(p, cmd_landauer)
 
     p = sub.add_parser("q3", help="mod-3 game values")
-    add_common(p)
-    p.set_defaults(func=cmd_q3)
+    add_common(p, cmd_q3)
 
     p = sub.add_parser("reproduce-all", help="run every computation and summarize")
     p.add_argument("--n-random", type=int, default=1000)
-    add_common(p)
-    p.set_defaults(func=cmd_reproduce_all)
+    add_common(p, cmd_reproduce_all)
 
     return parser
 
@@ -594,13 +527,23 @@ def main(argv=None) -> int:
     parser = build_parser(_default_seed())
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, passed = args.func(args)
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = _dump_json(payload) if args.format == "json" else "\n".join(lines)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
+    print(text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -22,20 +22,11 @@ _ERASE_INPUT = (1, 0)
 
 
 @dataclass(frozen=True)
-class ErasureStrategy:
-    """Partial-erasure play: probability p plus its classical strategy."""
-
-    erase_probability: float
-    base: game.ClassicalStrategy
-
-
-@dataclass(frozen=True)
 class EntropyReport:
     """Expected bits erased per input and on average, in units of kT*log2(2)."""
 
     per_input_bits_erased: dict[tuple[int, int], float]
     average_bits: float
-    average_entropy: float
     unit: str = ENTROPY_UNIT
 
 
@@ -46,24 +37,22 @@ def _check_probability(p: float) -> float:
     return p
 
 
-def erasure_strategy(p: float) -> ErasureStrategy:
+def erasure_strategy(p: float) -> game.ClassicalStrategy:
     """Build the strategy that erases with probability p on input (1, 0)."""
     p = _check_probability(p)
     erase_gate = np.array([[1.0, p], [0.0, 1.0 - p]])
-    base = game.ClassicalStrategy(
+    return game.ClassicalStrategy(
         num_symbols=2,
         initial=0,
         a_gates={0: (0, 1), 1: (1, 0)},
         b_gates={0: erase_gate, 1: (0, 1)},
         readout=(0, 1),
     )
-    return ErasureStrategy(erase_probability=p, base=base)
 
 
 def erasure_report(p: float) -> game.EvaluationReport:
     """Evaluate the partial-erasure strategy, with the erasure ledger attached."""
-    strategy = erasure_strategy(p)
-    report = game.evaluate_classical(game.GameSpec(2), strategy.base)
+    report = game.evaluate_classical(game.GameSpec(2), erasure_strategy(p))
     ledger = entropy_ledger(p).per_input_bits_erased
     return game.EvaluationReport(
         per_input=report.per_input, average=report.average, erasure_ledger=ledger
@@ -91,7 +80,4 @@ def entropy_ledger(p: float) -> EntropyReport:
         for a in (0, 1)
         for b in (0, 1)
     }
-    average = p / 4.0
-    return EntropyReport(
-        per_input_bits_erased=per_input, average_bits=average, average_entropy=average
-    )
+    return EntropyReport(per_input_bits_erased=per_input, average_bits=p / 4.0)

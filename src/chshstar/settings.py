@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
+from .chsh_lift import normal_form
 from .quantum import (
     Channel,
     Measurement,
@@ -70,17 +71,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be in (0, 1)")
 
 
-SETTING_KINDS = (
-    "unitary",
-    "clifford",
-    "classical_reversible",
-    "classical_irreversible",
-    "clifford_plus_rz",
-    "qutrit_unitary_fixed",
-    "classical_q3_reversible",
-)
-
-
 @dataclass(frozen=True)
 class SettingSpec:
     """Which physics the player is allowed, and in what dimension."""
@@ -90,17 +80,9 @@ class SettingSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SETTING_KINDS:
+        if self.kind not in SETTINGS:
             raise ValueError(f"unknown setting kind {self.kind!r}")
-        allowed = {
-            "unitary": (2,),
-            "clifford": (2,),
-            "classical_reversible": (2, 3),
-            "classical_irreversible": (2,),
-            "clifford_plus_rz": (2,),
-            "qutrit_unitary_fixed": (3,),
-            "classical_q3_reversible": (3,),
-        }[self.kind]
+        allowed, _ = SETTINGS[self.kind]
         if self.dimension not in allowed:
             raise ValueError(
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"
@@ -138,12 +120,7 @@ def _check_witness(value: float, reevaluated: float) -> None:
 
 def optimal_unitary_strategy() -> game.Strategy:
     """|+>, A = (I, S), B = (T^+, T), X measurement: the Tsirelson-achieving play."""
-    return game.Strategy(
-        initial=State.from_ket(plus_ket()),
-        a_gates={0: Channel.unitary(I2), 1: Channel.unitary(S)},
-        b_gates={0: Channel.unitary(T.conj().T), 1: Channel.unitary(T)},
-        measurement=Measurement.pauli("x"),
-    )
+    return normal_form(I2, S, T.conj().T, T)
 
 
 def trivial_strategy() -> game.Strategy:
@@ -171,12 +148,7 @@ def rz_pair_strategy(epsilon: float) -> game.Strategy:
     """The optimal play with T replaced by rz(epsilon), T^+ by rz(epsilon)^+."""
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"epsilon {epsilon} outside the open interval (0, pi/2)")
-    return game.Strategy(
-        initial=State.from_ket(plus_ket()),
-        a_gates={0: Channel.unitary(I2), 1: Channel.unitary(S)},
-        b_gates={0: Channel.unitary(rz(epsilon).conj().T), 1: Channel.unitary(rz(epsilon))},
-        measurement=Measurement.pauli("x"),
-    )
+    return normal_form(I2, S, rz(epsilon).conj().T, rz(epsilon))
 
 
 def qutrit_fixed_strategy() -> game.Strategy:
@@ -460,20 +432,16 @@ def _objective(angles: np.ndarray, free_state_and_measurement: bool) -> float:
 
 def _euler_strategy(angles: np.ndarray, free_state_and_measurement: bool) -> game.Strategy:
     """The strategy whose average win ``_objective`` computes from ``angles``."""
-    gates = [Channel.unitary(_euler(angles[3 * k:3 * k + 3])) for k in range(4)]
-    if free_state_and_measurement:
-        initial = State.from_ket(_bloch_ket(angles[12], angles[13]))
-        e_plus = _bloch_ket(angles[14], angles[15])
-        e_minus = np.array([-e_plus[1].conj(), e_plus[0].conj()], dtype=complex)
-        measurement = Measurement.from_basis([e_plus, e_minus])
-    else:
-        initial = State.from_ket(plus_ket())
-        measurement = Measurement.pauli("x")
+    a0, a1, b0, b1 = (_euler(angles[3 * k:3 * k + 3]) for k in range(4))
+    if not free_state_and_measurement:
+        return normal_form(a0, a1, b0, b1)
+    e_plus = _bloch_ket(angles[14], angles[15])
+    e_minus = np.array([-e_plus[1].conj(), e_plus[0].conj()], dtype=complex)
     return game.Strategy(
-        initial=initial,
-        a_gates={0: gates[0], 1: gates[1]},
-        b_gates={0: gates[2], 1: gates[3]},
-        measurement=measurement,
+        initial=State.from_ket(_bloch_ket(angles[12], angles[13])),
+        a_gates={0: Channel.unitary(a0), 1: Channel.unitary(a1)},
+        b_gates={0: Channel.unitary(b0), 1: Channel.unitary(b1)},
+        measurement=Measurement.from_basis([e_plus, e_minus]),
     )
 
 
@@ -538,11 +506,13 @@ def value_unitary(
             strategies_examined=evaluations,
             converged=converged,
         )
+    # The value is the witness's exact evaluation, not the optimizer's own
+    # number, which can lie an ulp or two above it (and above cos^2(pi/8)).
     witness = _euler_strategy(best_angles, free_state_and_measurement)
     report = game.evaluate(game.GameSpec(2), witness)
     _check_witness(best_val, report.average)
     return ValueResult(
-        value=best_val,
+        value=report.average,
         witness=witness,
         method="optimized",
         strategies_examined=evaluations,
@@ -610,6 +580,16 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     ]
 
 
+def value_clifford_plus_rz(epsilon: float) -> ValueResult:
+    """Evaluate the rz(epsilon)-pair strategy, checked against the closed form."""
+    witness = rz_pair_strategy(epsilon)
+    report = game.evaluate(game.GameSpec(2), witness)
+    _check_witness(success_probability_formula(epsilon), report.average)
+    return ValueResult(
+        value=report.average, witness=witness, method="exhaustive", strategies_examined=1
+    )
+
+
 def value_qutrit_q3_fixed() -> ValueResult:
     """Evaluate the fixed qutrit strategy under the mod-3 game (no optimization)."""
     witness = qutrit_fixed_strategy()
@@ -623,25 +603,20 @@ def value_qutrit_q3_fixed() -> ValueResult:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+# kind -> (allowed dimensions, value function of (setting, config)).
+SETTINGS = {
+    "unitary": ((2,), lambda setting, config: value_unitary(config)),
+    "clifford": ((2,), lambda setting, config: value_clifford()),
+    "classical_reversible": (
+        (2, 3), lambda setting, config: value_classical_reversible(setting.dimension)),
+    "classical_irreversible": ((2,), lambda setting, config: value_classical_irreversible()),
+    "clifford_plus_rz": ((2,), lambda setting, config: value_clifford_plus_rz(setting.epsilon)),
+    "qutrit_unitary_fixed": ((3,), lambda setting, config: value_qutrit_q3_fixed()),
+    "classical_q3_reversible": ((3,), lambda setting, config: value_classical_q3()),
+}
+
+
 def compute_value(setting: SettingSpec, config: OptimizerConfig | None = None) -> ValueResult:
     """Evaluate one setting of the value table."""
-    if setting.kind == "unitary":
-        return value_unitary(config)
-    if setting.kind == "clifford":
-        return value_clifford()
-    if setting.kind == "classical_reversible":
-        return value_classical_reversible(setting.dimension)
-    if setting.kind == "classical_irreversible":
-        return value_classical_irreversible()
-    if setting.kind == "clifford_plus_rz":
-        witness = rz_pair_strategy(setting.epsilon)
-        report = game.evaluate(game.GameSpec(2), witness)
-        _check_witness(success_probability_formula(setting.epsilon), report.average)
-        return ValueResult(
-            value=report.average, witness=witness, method="exhaustive", strategies_examined=1
-        )
-    if setting.kind == "qutrit_unitary_fixed":
-        return value_qutrit_q3_fixed()
-    if setting.kind == "classical_q3_reversible":
-        return value_classical_q3()
-    raise ValueError(f"unknown setting kind {setting.kind!r}")
+    _, value = SETTINGS[setting.kind]
+    return value(setting, config)

@@ -23,6 +23,13 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def assert_usage_error(rc, out, err):
+    """Exit 2, nothing on stdout, and one stderr line starting ``error: ``."""
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 @pytest.fixture(scope="module")
 def schema():
     path = resources.files("chshstar") / "schemas" / "cli_output.schema.json"
@@ -119,8 +126,7 @@ def test_value_clifford_plus_rz(capsys, schema):
     payload = json.loads(out)
     validate(payload, schema)
     assert abs(payload["value"] - TSIRELSON) < 1e-12
-    rc, _, err = run_cli(capsys, "value", "--setting", "clifford-plus-rz", "--epsilon", "2.0")
-    assert rc == 2
+    assert_usage_error(*run_cli(capsys, "value", "--setting", "clifford-plus-rz", "--epsilon", "2.0"))
 
 
 def test_value_rejects_unknown_setting(capsys):
@@ -130,8 +136,8 @@ def test_value_rejects_unknown_setting(capsys):
 
 
 def test_value_rejects_bad_dimension(capsys):
-    rc, _, err = run_cli(capsys, "value", "--setting", "reversible", "--dimension", "5")
-    assert rc == 2
+    rc, out, err = run_cli(capsys, "value", "--setting", "reversible", "--dimension", "5")
+    assert_usage_error(rc, out, err)
     assert "dimension" in err
 
 
@@ -172,9 +178,11 @@ def test_verify_lemma1_rejects_bad_tol(capsys):
     for tol in ("nan", "inf", "-1e-10"):
         rc, out, err = run_cli(capsys, "verify-lemma1", "--n-random", "3", f"--tol={tol}",
                                "--format", "json")
-        assert rc == 2
-        assert out == ""
+        assert_usage_error(rc, out, err)
         assert "--tol" in err
+    rc, out, err = run_cli(capsys, "verify-lemma1", "--n-random", "0")
+    assert_usage_error(rc, out, err)
+    assert "--n-random" in err
 
 
 def test_verify_lemma1_passes(capsys, schema):
@@ -197,6 +205,15 @@ def test_verify_lemma1_fails_below_float_floor(capsys):
     rc, out, _ = run_cli(capsys, "verify-lemma1", "--n-random", "5", "--tol", "1e-16")
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_failing_result_is_still_written_to_output(capsys, tmp_path):
+    target = tmp_path / "lemma1.txt"
+    rc, out, _ = run_cli(capsys, "verify-lemma1", "--n-random", "5", "--tol", "1e-16",
+                         "--output", str(target))
+    assert rc == 1
+    assert "FAIL" in out
+    assert target.read_text() == out
 
 
 def test_sweep_csv_contract(capsys):
@@ -224,8 +241,8 @@ def test_sweep_json(capsys, schema):
 
 
 def test_sweep_rejects_single_step(capsys):
-    rc, _, err = run_cli(capsys, "sweep-epsilon", "--steps", "1")
-    assert rc == 2
+    rc, out, err = run_cli(capsys, "sweep-epsilon", "--steps", "1")
+    assert_usage_error(rc, out, err)
 
 
 def test_sweep_output_file(capsys, tmp_path):
@@ -238,11 +255,11 @@ def test_sweep_output_file(capsys, tmp_path):
 
 
 def test_unwritable_output_path(capsys):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, "sweep-epsilon", "--steps", "5", "--format", "csv",
         "--output", "/nonexistent-dir/sweep.csv",
     )
-    assert rc == 2
+    assert_usage_error(rc, out, err)
     assert "cannot write" in err
 
 
@@ -273,14 +290,9 @@ def test_landauer_no_erasure(capsys):
 
 
 def test_landauer_requires_exactly_one_of_p_target(capsys):
-    rc, _, err = run_cli(capsys, "landauer")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "landauer", "--p", "0.5", "--target", "0.9")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "landauer", "--p", "1.5")
-    assert rc == 2
-    rc, _, err = run_cli(capsys, "landauer", "--target", "0.5")
-    assert rc == 2
+    for argv in ([], ["--p", "0.5", "--target", "0.9"], ["--p", "1.5"], ["--target", "0.5"],
+                 ["--target", "abc"]):
+        assert_usage_error(*run_cli(capsys, "landauer", *argv))
 
 
 def test_q3_report(capsys, schema):

@@ -1,6 +1,7 @@
 """Value computations per setting: enumeration, optimization, sweeps."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,15 @@ def test_value_unitary_reaches_tsirelson():
     assert result.converged is True
     report = game.evaluate(game.GameSpec(2), result.witness)
     assert abs(report.average - result.value) <= 1e-9
+
+
+def test_value_unitary_never_exceeds_tsirelson():
+    # The optimizer's own best number can lie an ulp or two above the bound;
+    # the reported value is the exact evaluation of the witness.
+    for seed in (0, 1, 3):
+        result = settings.value_unitary(settings.OptimizerConfig(seed=seed))
+        assert result.value <= math.cos(math.pi / 8) ** 2
+        assert result.value == game.evaluate(game.GameSpec(2), result.witness).average
 
 
 def test_value_unitary_seeded_at_optimum():
