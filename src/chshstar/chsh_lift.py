@@ -103,6 +103,9 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
     """Exact joint table p(x, y | a, b) and the derived win probabilities."""
     psi0 = bell_pair_ket()
     x_kets = {0: plus_ket(), 1: minus_ket()}
+    outcome_kets = {
+        (x, y): np.kron(x_kets[x], x_kets[y]) for x, y in itertools.product((0, 1), repeat=2)
+    }
     joint: dict[tuple[int, int, int, int], float] = {}
     per_input: dict[tuple[int, int], float] = {}
     inputs = itertools.product(sorted(cs.alice_gates), sorted(cs.bob_gates))
@@ -112,8 +115,8 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
             raise ValueError("local gates must be 2x2")
         psi = u @ psi0
         win = 0.0
-        for x, y in itertools.product((0, 1), repeat=2):
-            amp = np.vdot(np.kron(x_kets[x], x_kets[y]), psi)
+        for (x, y), ket in outcome_kets.items():
+            amp = np.vdot(ket, psi)
             p = float(abs(amp) ** 2)
             joint[(a, b, x, y)] = p
             if (x + y) % 2 == (a * b) % 2:

@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -477,8 +478,25 @@ def _default_seed() -> int:
         raise SystemExit(2) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-10``, ``-inf`` and ``-nan`` as numbers.
+
+    argparse takes a token for an option name unless it matches its
+    negative-number pattern, which knows only forms such as ``-3`` and
+    ``-0.5``; ``--tol -1e-10`` would then stop with "expected one argument"
+    instead of reaching the command's own check.  Subparsers inherit the
+    class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE
+        )
+
+
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chshstar",
         description="Evaluate the CHSH* single-system game across physical settings.",
     )

@@ -68,12 +68,12 @@ def fourier_ket(d: int, k: int) -> np.ndarray:
     return np.array([w ** (j * k) for j in range(d)], dtype=complex) / np.sqrt(d)
 
 
-# The six Pauli eigenstates, in the fixed enumeration order used everywhere.
-PAULI_EIGENSTATE_NAMES = ("x+", "x-", "y+", "y-", "z+", "z-")
-
-
 def pauli_eigenstates() -> dict[str, np.ndarray]:
-    """Name -> ket for the six single-qubit Pauli eigenstates."""
+    """Name -> ket for the six single-qubit Pauli eigenstates.
+
+    The order x+, x-, y+, y-, z+, z- is the enumeration order of the
+    Clifford search.
+    """
     return {
         "x+": plus_ket(),
         "x-": minus_ket(),

@@ -1,15 +1,15 @@
 """Game values per physical setting: exhaustive enumeration or optimization.
 
 Finite settings (Clifford, classical reversible/irreversible, classical
-mod-3) are searched exhaustively; the unitary setting is optimized with
-Nelder-Mead restarts over Euler-angle parametrizations.  Every returned
+mod-3) are searched exhaustively; the unitary setting is optimized by
+gradient-based L-BFGS-B with seeded restarts over Euler-angle
+parametrizations, with the gradient in closed form.  Every returned
 witness is re-evaluated through the generic evaluators as a consistency
 check before the result is handed back.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -387,47 +387,116 @@ def _bloch_ket(theta: float, phi: float) -> np.ndarray:
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)
 
 
-def _objective(angles: np.ndarray, free_state_and_measurement: bool) -> float:
-    """Minus the average win of ``_euler_strategy(angles, ...)``, in scalar arithmetic.
+def _rot_z(c: float, s: float, w: tuple) -> tuple:
+    """Rotate the 3-vector ``w`` about z by the angle of cosine c and sine s."""
+    return (c * w[0] - s * w[1], s * w[0] + c * w[1], w[2])
+
+
+def _rot_y(c: float, s: float, w: tuple) -> tuple:
+    """Rotate the 3-vector ``w`` about y by the angle of cosine c and sine s."""
+    return (c * w[0] + s * w[2], w[1], c * w[2] - s * w[0])
+
+
+def _cross_z(w: tuple) -> tuple:
+    """z x w: the derivative of a z rotation at angle 0."""
+    return (-w[1], w[0], 0.0)
+
+
+def _cross_y(w: tuple) -> tuple:
+    """y x w: the derivative of a y rotation at angle 0."""
+    return (w[2], 0.0, -w[0])
+
+
+def _dot(u: tuple, w: tuple) -> float:
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _sum_and_difference(u: tuple, w: tuple) -> tuple[tuple, tuple]:
+    return (u[0] + w[0], u[1] + w[1], u[2] + w[2]), (u[0] - w[0], u[1] - w[1], u[2] - w[2])
+
+
+def _bloch(theta: float, phi: float) -> tuple[tuple, tuple, tuple]:
+    """The Bloch vector of ``_bloch_ket(theta, phi)`` and its partials in theta and phi."""
+    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
+
+
+def _rotate(trig: list, w: tuple) -> tuple[tuple, tuple]:
+    """R w for R = Rz(alpha) Ry(beta) Rz(gamma), and its partials in (alpha, beta, gamma).
+
+    ``trig`` holds the (cos, sin) of alpha, beta and gamma.  Each partial
+    inserts the generator (``_cross_z`` or ``_cross_y``) of its angle's
+    rotation after that rotation.
+    """
+    (ca, sa), (cb, sb), (cg, sg) = trig
+    u1 = _rot_z(cg, sg, w)
+    u2 = _rot_y(cb, sb, u1)
+    r = _rot_z(ca, sa, u2)
+    partials = (
+        _cross_z(r),
+        _rot_z(ca, sa, _cross_y(u2)),
+        _rot_z(ca, sa, _rot_y(cb, sb, _cross_z(u1))),
+    )
+    return r, partials
+
+
+def _rotate_back(trig: list, w: tuple) -> tuple[tuple, tuple]:
+    """R^T w = Rz(-gamma) Ry(-beta) Rz(-alpha) w, and minus its partials.
+
+    The partials are in (alpha, beta, gamma) of R, as for ``_rotate``.
+    """
+    (ca, sa), (cb, sb), (cg, sg) = trig
+    t1 = _rot_z(ca, -sa, w)
+    t2 = _rot_y(cb, -sb, t1)
+    r = _rot_z(cg, -sg, t2)
+    minus_partials = (
+        _rot_z(cg, -sg, _rot_y(cb, -sb, _cross_z(t1))),
+        _rot_z(cg, -sg, _cross_y(t2)),
+        _cross_z(r),
+    )
+    return r, minus_partials
+
+
+def _objective(angles: np.ndarray, free_state_and_measurement: bool) -> tuple[float, list[float]]:
+    """Minus the average win of ``_euler_strategy(angles, ...)``, and its gradient.
 
     Angles 3k..3k+2 give gate k of (A0, A1, B0, B1) as
-    rz(alpha) ry(beta) rz(gamma) = [[c, -s e^{i gamma}], [s e^{i alpha}, c e^{i(alpha+gamma)}]]
-    with c = cos(beta/2), s = sin(beta/2).  Free mode takes the Bloch angles
-    of the initial ket from 12, 13 and of the + outcome from 14, 15; fixed
-    mode applies the gates to (1, 1), |+> without its exact factor 1/sqrt(2),
-    which ``norm`` restores, and measures along x.  With n_e and n_psi the
-    Bloch vectors of the + outcome and of the final ket, a win has
-    probability (1 +- n_e . n_psi) / 2, so the average is 1/2 plus a small
-    sum whose rounding stays below the ulp of 1/2.  This is the optimizer's
-    inner loop, so it runs on Python floats and complex numbers.
+    rz(alpha) ry(beta) rz(gamma), which acts on Bloch vectors as the rotation
+    R_k = Rz(alpha) Ry(beta) Rz(gamma).  Free mode takes the Bloch angles of
+    the initial ket from 12, 13 and of the + outcome from 14, 15; fixed mode
+    starts from |+> and measures along x, so both vectors are x.  With
+    n_a = R_{A_a} v (v the initial Bloch vector) and m_b = R_{B_b}^T e (e the
+    + outcome's), input (a, b) wins with probability (1 + (-1)^{ab} n_a . m_b) / 2,
+    so the average is 1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small
+    sum whose rounding stays below the ulp of 1/2.  Each partial derivative
+    replaces n_a, m_b, v or e in that sum by its own partial.  This is the
+    optimizer's inner loop, so it runs on Python floats.
     """
     x = angles.tolist()
-    gates = []
-    for k in (0, 3, 6, 9):
-        c, s = math.cos(x[k + 1] / 2), math.sin(x[k + 1] / 2)
-        ea, eg = cmath.exp(1j * x[k]), cmath.exp(1j * x[k + 2])
-        gates.append((c, -s * eg, s * ea, c * ea * eg))
+    gates = [[(math.cos(t), math.sin(t)) for t in x[k:k + 3]] for k in (0, 3, 6, 9)]
     if free_state_and_measurement:
-        p0, p1 = math.cos(x[12] / 2), cmath.exp(1j * x[13]) * math.sin(x[12] / 2)
-        st = math.sin(x[14])
-        nx, ny, nz = st * math.cos(x[15]), st * math.sin(x[15]), math.cos(x[14])
-        norm = 1.0
+        v, dv_theta, dv_phi = _bloch(x[12], x[13])
+        e, de_theta, de_phi = _bloch(x[14], x[15])
     else:
-        p0 = p1 = 1.0
-        nx, ny, nz = 1.0, 0.0, 0.0
-        norm = 0.5
-    total = 0.0
-    for a in (0, 1):
-        u00, u01, u10, u11 = gates[a]
-        v0, v1 = u00 * p0 + u01 * p1, u10 * p0 + u11 * p1
-        for b in (0, 1):
-            w00, w01, w10, w11 = gates[2 + b]
-            f0, f1 = w00 * v0 + w01 * v1, w10 * v0 + w11 * v1
-            c = f0.conjugate() * f1
-            z = f0.real * f0.real + f0.imag * f0.imag - f1.real * f1.real - f1.imag * f1.imag
-            dot = norm * (2.0 * (nx * c.real + ny * c.imag) + nz * z)
-            total += -dot if a * b else dot
-    return -(0.5 + total / 8.0)
+        v = e = (1.0, 0.0, 0.0)
+    (n0, dn0), (n1, dn1) = (_rotate(gates[a], v) for a in (0, 1))
+    (m0, dm0), (m1, dm1) = (_rotate_back(gates[2 + b], e) for b in (0, 1))
+    # M_a = m_0 + (-1)^a m_1 and N_b = n_0 + (-1)^b n_1, so that
+    # sum_ab (-1)^{ab} n_a . m_b = sum_a n_a . M_a = sum_b N_b . m_b.
+    m_pm = _sum_and_difference(m0, m1)
+    n_pm = _sum_and_difference(n0, n1)
+    total = _dot(n0, m_pm[0]) + _dot(n1, m_pm[1])
+    grad = [-_dot(m_pm[a], d) / 8.0 for a, dn in enumerate((dn0, dn1)) for d in dn]
+    # _rotate_back returns minus the partials of m_b, hence the opposite sign.
+    grad += [_dot(n_pm[b], d) / 8.0 for b, dm in enumerate((dm0, dm1)) for d in dm]
+    if free_state_and_measurement:
+        # v enters as R_{A_a} v and e as R_{B_b}^T e, so their partials are
+        # taken against sum_a R_{A_a}^T M_a and sum_b R_{B_b} N_b.
+        wv = [_rotate_back(gates[a], m_pm[a])[0] for a in (0, 1)]
+        we = [_rotate(gates[2 + b], n_pm[b])[0] for b in (0, 1)]
+        grad += [-(_dot(wv[0], d) + _dot(wv[1], d)) / 8.0 for d in (dv_theta, dv_phi)]
+        grad += [-(_dot(we[0], d) + _dot(we[1], d)) / 8.0 for d in (de_theta, de_phi)]
+    return -(0.5 + total / 8.0), grad
 
 
 def _euler_strategy(angles: np.ndarray, free_state_and_measurement: bool) -> game.Strategy:
@@ -467,9 +536,12 @@ def value_unitary(
     (the normal form); with ``free_state_and_measurement`` the initial ket
     and the measurement basis are parametrized and optimized as well, and
     the degenerate {0, I} measurement (which plays a constant and reaches
-    0.75 at best) is included explicitly.  Derivative-free Nelder-Mead from
-    seeded random restarts; ``initial_points`` adds explicit extra starts.
-    ``converged`` of the result is the success flag of the best restart.
+    0.75 at best) is included explicitly.  Gradient-based L-BFGS-B with
+    seeded restarts, on ``_objective``'s value and closed-form gradient;
+    ``initial_points`` adds explicit extra starts.  ``converged`` of the
+    result is the success flag of the best restart, and
+    ``strategies_examined`` counts the objective-and-gradient evaluations of
+    all restarts.
     """
     config = config or OptimizerConfig()
     n_params = 16 if free_state_and_measurement else 12
@@ -486,12 +558,9 @@ def value_unitary(
             _objective,
             x0,
             args=(free_state_and_measurement,),
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "xatol": 1e-8,
-                "fatol": config.tolerance,
-            },
+            method="L-BFGS-B",
+            jac=True,
+            options={"maxiter": config.max_iterations, "ftol": config.tolerance, "gtol": 1e-8},
         )
         evaluations += int(res.nfev)
         if -res.fun > best_val:

@@ -295,6 +295,19 @@ def test_landauer_requires_exactly_one_of_p_target(capsys):
         assert_usage_error(*run_cli(capsys, "landauer", *argv))
 
 
+def test_negative_numbers_in_exponent_notation_reach_the_commands_checks(capsys):
+    # argparse alone reads "-1e-10" as an option name: "expected one argument".
+    cases = (
+        (["verify-lemma1", "--n-random", "3"], "--tol", "-1e-10", "--tol must be a finite number >= 0"),
+        (["landauer"], "--p", "-1e-3", "erase probability -0.001 outside [0, 1]"),
+    )
+    for prefix, option, number, message in cases:
+        for argv in ([*prefix, option, number], [*prefix, f"{option}={number}"]):
+            rc, out, err = run_cli(capsys, *argv)
+            assert_usage_error(rc, out, err)
+            assert err == f"error: {message}\n"
+
+
 def test_q3_report(capsys, schema):
     rc, out, _ = run_cli(capsys, "q3", "--format", "json")
     assert rc == 0

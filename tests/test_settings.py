@@ -165,7 +165,21 @@ def test_objective_is_minus_the_evaluated_average(free):
         angles = rng.uniform(0.0, 2 * np.pi, size=16 if free else 12)
         strategy = settings._euler_strategy(angles, free)
         expected = -game.evaluate(spec, strategy).average
-        assert abs(settings._objective(angles, free) - expected) <= 1e-12
+        assert abs(settings._objective(angles, free)[0] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_objective_gradient_matches_central_differences(free):
+    rng = np.random.default_rng(41 + free)
+    h = 1e-6
+    for _ in range(200):
+        angles = rng.uniform(0.0, 2 * np.pi, size=16 if free else 12)
+        _, grad = settings._objective(angles, free)
+        assert len(grad) == angles.size
+        for i, step in enumerate(np.eye(angles.size) * h):
+            central = (settings._objective(angles + step, free)[0]
+                       - settings._objective(angles - step, free)[0]) / (2 * h)
+            assert abs(grad[i] - central) <= 1e-6
 
 
 def _z_rotation_average(phi_a0, phi_a1, phi_b0, phi_b1):
