@@ -18,7 +18,8 @@ writes ``--output``, prints and picks the exit code; commands raise
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
 payload); the schema ships at ``chshstar/schemas/cli_output.schema.json``.
-The environment variable ``CHSHSTAR_SEED`` overrides the default seed.
+The environment variable ``CHSHSTAR_SEED`` overrides the default seed; a
+negative seed from either source is a usage error.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def cmd_value(args) -> tuple[dict, list[str], bool]:
         f"wall time: {elapsed:.3f} s",
     ]
     if result.quantization_error is not None:
-        lines.insert(4, f"max deviation from 1/8 grid: {result.quantization_error:.3e}")
+        lines.insert(4, f"max overlap deviation from {{0, 1/2, 1}}: {result.quantization_error:.3e}")
     return payload, lines, True
 
 
@@ -426,7 +427,7 @@ def cmd_reproduce_all(args) -> tuple[dict, list[str], bool]:
 
     unitary = settings.value_unitary(config)
     _warn_unconverged(unitary)
-    check("unitary", unitary.value, TSIRELSON, tol=1e-4)
+    check("unitary", unitary.value, TSIRELSON)
     check("clifford", settings.value_clifford().value, 0.75)
     check("classical_reversible_d2", settings.value_classical_reversible(2).value, 0.75)
     check("classical_irreversible", settings.value_classical_irreversible().value, 1.0)
@@ -542,9 +543,13 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser(_default_seed())
-    args = parser.parse_args(argv)
+    default_seed = _default_seed()
+    args = build_parser(default_seed).parse_args(argv)
     try:
+        if default_seed < 0:
+            raise ValueError(f"CHSHSTAR_SEED must be >= 0, got {default_seed}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         payload, lines, passed = args.func(args)
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

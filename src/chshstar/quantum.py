@@ -160,11 +160,6 @@ def is_left_stochastic(m: np.ndarray) -> bool:
     return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT)
 
 
-def is_unitary(u: np.ndarray) -> bool:
-    u = _as_matrix(u)
-    return u.shape[0] == u.shape[1] and _all_unitary(u[None])
-
-
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary: complex Gaussian matrix + QR orthonormalization."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -237,7 +232,7 @@ class Channel:
     @classmethod
     def unitary(cls, u: np.ndarray) -> "Channel":
         u = _as_matrix(u, "unitary")
-        if not is_unitary(u):
+        if u.shape[0] != u.shape[1] or not _all_unitary(u[None]):
             raise ValueError("matrix is not unitary")
         return cls((u,))
 
@@ -282,7 +277,9 @@ class Channel:
         return self.kraus[0].shape[0]
 
     def is_unitary_channel(self) -> bool:
-        return len(self.kraus) == 1 and is_unitary(self.kraus[0])
+        # One square Kraus operator passed the completeness check K^+ K = I
+        # in __post_init__, which is the unitarity check.
+        return len(self.kraus) == 1
 
 
 def apply_channel(ch: Channel, s: State) -> State:

@@ -102,6 +102,7 @@ class ValueResult:
     witness: object
     method: str
     strategies_examined: int
+    # Clifford setting: the stabilizer overlaps' largest deviation from {0, 1/2, 1}.
     quantization_error: float | None = None
     # Optimized settings: whether the best optimizer run converged.
     converged: bool | None = None
@@ -204,110 +205,108 @@ def value_clifford() -> ValueResult:
     """Exhaustive search over all Clifford-setting strategies.
 
     6 initial Pauli eigenstates x 24^4 gate tuples x 3 Pauli axes x 2 outcome
-    labelings.  Probabilities of Pauli measurements on stabilizer states are
-    exactly 0, 1/2 or 1; after validating that numerically, the table is
-    snapped to the exact grid so the maximum (and the eighth-quantization of
-    every examined average) comes out exact.
+    labelings.  Cliffords permute the Pauli eigenstates, so ``_search_tables``
+    runs with them as symbols, each Clifford's function table read off the
+    overlaps |<t|C|s>|^2 once these are checked to lie on {0, 1/2, 1} within
+    1e-9 (``quantization_error`` is their largest deviation).  Scores count
+    half-wins: a Pauli measurement gives an eigenstate on its axis that
+    state's label (2 or 0) and one off its axis either label at probability
+    1/2 (1), so every examined average, and the maximum, is exactly k/8.
     """
     cliffords = clifford_group_d2()
-    gate_stack = np.stack(cliffords)
     eigenstates = pauli_eigenstates()
-    order = list(eigenstates.items())
-
-    best = -1.0
-    best_loc = None
-    quantization_error = 0.0
-    examined = 0
-
-    for si, (_, psi0) in enumerate(order):
-        a_images = np.einsum("gij,j->gi", gate_stack, psi0)
-        ba_images = np.einsum("hij,gj->hgi", gate_stack, a_images)
-        for axis in ("x", "y", "z"):
-            e_plus = eigenstates[axis + "+"]
-            p_plus = np.abs(np.einsum("i,hgi->hg", e_plus.conj(), ba_images)) ** 2
-            dev = float(np.max(np.abs(p_plus * 2 - np.round(p_plus * 2))))
-            if dev > 1e-9:
-                raise ConsistencyError(
-                    f"stabilizer measurement probability off the (0, 1/2, 1) grid by {dev}"
-                )
-            w = p_plus.T  # (a_gate, b_gate)
-            t1 = w[:, None, :, None]  # (a0, b0)
-            t2 = w[:, None, None, :]  # (a0, b1)
-            t3 = w[None, :, :, None]  # (a1, b0)
-            t4 = w[None, :, None, :]  # (a1, b1)
-            for labeling in ((0, 1), (1, 0)):
-                if labeling == (0, 1):
-                    avg = (t1 + t2 + t3 + (1.0 - t4)) / 4.0
-                else:
-                    avg = ((1.0 - t1) + (1.0 - t2) + (1.0 - t3) + t4) / 4.0
-                examined += avg.size
-                # Eighth-quantization of the raw averages, then snap so the
-                # reported maximum is exact.
-                eighths = avg * 8
-                quantization_error = max(
-                    quantization_error, float(np.max(np.abs(eighths - np.round(eighths))))
-                )
-                if quantization_error > 1e-9:
-                    raise ConsistencyError(
-                        f"average off the 1/8 grid by {quantization_error}"
-                    )
-                avg = np.round(eighths) / 8.0
-                m = float(avg.max())
-                if m > best:
-                    best = m
-                    best_loc = (si, axis, labeling, np.unravel_index(int(np.argmax(avg)), avg.shape))
-
-    si, axis, labeling, (a0, a1, b0, b1) = best_loc
+    kets = np.stack(list(eigenstates.values()))
+    overlaps = np.abs(np.einsum("ti,gij,sj->gts", kets.conj(), np.stack(cliffords), kets)) ** 2
+    halves = np.round(2 * overlaps)
+    deviation = float(np.max(np.abs(overlaps - halves / 2)))
+    if deviation > 1e-9:
+        raise ConsistencyError(f"stabilizer overlap off the (0, 1/2, 1) grid by {deviation}")
+    # tables[g][s]: the eigenstate that Clifford g sends eigenstate s to.
+    tables = [tuple(int(t) for t in row) for row in np.argmax(halves, axis=1)]
+    readouts = [(axis, labels) for axis in "xyz" for labels in ((0, 1), (1, 0))]
+    inputs = game.GameSpec(2).input_pairs()
+    # half_wins[i, s, r]: half-wins of readout r of eigenstate s on input pair i.
+    half_wins = np.array([
+        [[2 * (labels["+-".index(name[1])] == a * b) if name[0] == axis else 1
+          for axis, labels in readouts] for name in eigenstates]
+        for a, b in inputs
+    ], dtype=np.uint8)
+    wins, (s0, a, b, r), examined = _search_tables(6, inputs, half_wins, tables, tables, 2, 2)
+    axis, labels = readouts[r]
     witness = game.Strategy(
-        initial=State.from_ket(order[si][1]),
-        a_gates={0: Channel.unitary(cliffords[a0]), 1: Channel.unitary(cliffords[a1])},
-        b_gates={0: Channel.unitary(cliffords[b0]), 1: Channel.unitary(cliffords[b1])},
-        measurement=Measurement.pauli(axis, labels=labeling),
+        initial=State.from_ket(kets[s0]),
+        a_gates={k: Channel.unitary(cliffords[g]) for k, g in enumerate(a)},
+        b_gates={k: Channel.unitary(cliffords[g]) for k, g in enumerate(b)},
+        measurement=Measurement.pauli(axis, labels=labels),
     )
+    value = wins / (2 * len(inputs))
     report = game.evaluate(game.GameSpec(2), witness)
-    _check_witness(best, report.average)
+    _check_witness(value, report.average)
     return ValueResult(
-        value=best,
+        value=value,
         witness=witness,
         method="exhaustive",
         strategies_examined=examined,
-        quantization_error=quantization_error,
+        quantization_error=deviation,
     )
 
 
 # ---------------------------------------------------------------------------
-# Classical settings
+# Function-table search (Clifford and classical settings)
 # ---------------------------------------------------------------------------
 
-def _search_classical(d, q, a_pool, b_pool, readouts, n_a, n_b):
-    """Deterministic exhaustive search; first-found maximum wins.
+def _score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b):
+    """Score every function-table strategy, one initial symbol at a time.
 
-    Strategies are ordered lexicographically by (initial symbol, A gates,
-    B gates, readout); gates are function tables.  The win count of every
-    strategy is tabulated in a ``uint8`` array of shape (d, A tuples,
-    B tuples, readouts), one initial symbol at a time, and ``np.argmax``
-    returns the first maximum in that order.  Returns (best wins, witness,
-    count).
+    From one of ``d`` symbols, A_a then B_b apply function tables from
+    ``a_pool`` (n_a slots) and ``b_pool`` (n_b slots); readout r of the final
+    symbol scores ``weights[i, symbol, r]`` on input pair ``inputs[i]``.
+    Yields per initial symbol the ``uint8`` scores indexed by the A pool
+    index of each slot, then the B pool index of each slot, then r.
+    """
+    a_tabs = np.array(a_pool)[list(itertools.product(range(len(a_pool)), repeat=n_a))]
+    b_tabs = np.array(b_pool)[list(itertools.product(range(len(b_pool)), repeat=n_b))]
+    # by_symbol[i][u, B tuple, r]: score on input i when A_a leaves symbol u.
+    by_symbol = [weights[i][b_tabs[:, b, :].T] for i, (_, b) in enumerate(inputs)]
+    for s0 in range(d):
+        # A score sums one weight per input pair, at most 9 wins (q = 3) or
+        # 8 half-wins (Clifford), so uint8 cannot wrap.
+        block = np.zeros((len(a_tabs), len(b_tabs), weights.shape[2]), dtype=np.uint8)
+        for i, (a, _) in enumerate(inputs):
+            block += by_symbol[i][a_tabs[:, a, s0]]
+        yield block.reshape((len(a_pool),) * n_a + (len(b_pool),) * n_b + block.shape[2:])
+
+
+def _search_tables(d, inputs, weights, a_pool, b_pool, n_a, n_b):
+    """Exhaustive search over ``_score_blocks``; the first-found maximum wins.
+
+    In the lexicographic order (initial symbol, A gates, B gates, readout),
+    ``np.argmax`` finds a block's first maximum and a later block wins only
+    when strictly higher.  Returns (score, (initial symbol, A pool indices,
+    B pool indices, readout index), count).
+    """
+    best = None
+    for s0, block in enumerate(_score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b)):
+        k = np.unravel_index(int(np.argmax(block)), block.shape)
+        if best is None or block[k] > best[0]:
+            best = (int(block[k]), s0, tuple(int(i) for i in k))
+    score, s0, k = best
+    return score, (s0, k[:n_a], k[n_a:n_a + n_b], k[-1]), d * block.size
+
+
+def _search_classical(d, q, a_pool, b_pool, readouts, n_a, n_b):
+    """``_search_tables`` with deterministic readouts, scoring one win per input pair.
+
+    ``readouts`` are symbol-to-answer maps for the mod-``q`` game.  Returns
+    (best wins, (initial symbol, A tables, B tables, readout), count).
     """
     inputs = game.GameSpec(q).input_pairs()
-    a_tuples = list(itertools.product(a_pool, repeat=n_a))
-    b_tuples = list(itertools.product(b_pool, repeat=n_b))
-    a_tabs = np.array(a_tuples, dtype=np.uint8)  # (A tuples, n_a, d)
-    b_tabs = np.array(b_tuples, dtype=np.uint8)  # (B tuples, n_b, d)
-    # hits[i, symbol, readout]: reading ``symbol`` out wins on input pair i.
     targets = np.array([(a * b) % q for a, b in inputs])
+    # hits[i, symbol, readout]: reading ``symbol`` out wins on input pair i.
     hits = (np.array(readouts).T[None] == targets[:, None, None]).astype(np.uint8)
-    # At most one win per input pair (9 for q = 3), so uint8 cannot wrap.
-    wins = np.zeros((d, len(a_tuples), len(b_tuples), len(readouts)), dtype=np.uint8)
-    for i, (a, b) in enumerate(inputs):
-        # by_symbol[u, B tuple, readout]: win on input i when A_a leaves symbol u.
-        by_symbol = hits[i][b_tabs[:, b, :].T]
-        for s0 in range(d):
-            wins[s0] += by_symbol[a_tabs[:, a, s0]]
-    best = np.unravel_index(int(np.argmax(wins)), wins.shape)
-    s0, ia, ib, ir = (int(k) for k in best)
-    witness = (s0, a_tuples[ia], b_tuples[ib], readouts[ir])
-    return int(wins[best]), witness, wins.size
+    wins, (s0, ia, ib, ir), count = _search_tables(d, inputs, hits, a_pool, b_pool, n_a, n_b)
+    witness = (s0, tuple(a_pool[k] for k in ia), tuple(b_pool[k] for k in ib), readouts[ir])
+    return wins, witness, count
 
 
 def _classical_result(d, q, wins, witness_tuple, examined) -> ValueResult:
@@ -339,16 +338,13 @@ def value_classical_reversible(d: int) -> ValueResult:
     return _classical_result(d, 2, wins, wit, n)
 
 
-def value_classical_irreversible(bijective_only: bool = False) -> ValueResult:
+def value_classical_irreversible() -> ValueResult:
     """Exhaustive search over all maps {0,1} -> {0,1} per gate slot.
 
-    With ``bijective_only`` the same search is restricted to permutations,
-    which recovers the reversible bound 0.75.
+    Restricted to the two permutations, the same search is
+    ``value_classical_reversible(2)``, which gives the reversible bound 0.75.
     """
-    if bijective_only:
-        pool = list(itertools.permutations(range(2)))
-    else:
-        pool = list(itertools.product(range(2), repeat=2))
+    pool = list(itertools.product(range(2), repeat=2))
     readouts = list(itertools.product(range(2), repeat=2))
     wins, wit, n = _search_classical(2, 2, pool, pool, readouts, 2, 2)
     return _classical_result(2, 2, wins, wit, n)
@@ -655,7 +651,7 @@ def value_clifford_plus_rz(epsilon: float) -> ValueResult:
     report = game.evaluate(game.GameSpec(2), witness)
     _check_witness(success_probability_formula(epsilon), report.average)
     return ValueResult(
-        value=report.average, witness=witness, method="exhaustive", strategies_examined=1
+        value=report.average, witness=witness, method="evaluated", strategies_examined=1
     )
 
 
@@ -664,7 +660,7 @@ def value_qutrit_q3_fixed() -> ValueResult:
     witness = qutrit_fixed_strategy()
     report = game.evaluate(game.GameSpec(3), witness)
     return ValueResult(
-        value=report.average, witness=witness, method="exhaustive", strategies_examined=1
+        value=report.average, witness=witness, method="evaluated", strategies_examined=1
     )
 
 

@@ -66,8 +66,9 @@ def test_criterion_2_clifford_value():
         elapsed = time.perf_counter() - t0
         assert result.value == 0.75
         assert result.strategies_examined == 6 * 24 ** 4 * 6
-        # 100% of examined averages sit on the 1/8 grid within 1e-9 (the
-        # enumeration aborts if any single average violates this).
+        # The search aborts unless every stabilizer overlap sits on the
+        # {0, 1/2, 1} grid within 1e-9, which puts every examined average
+        # exactly on the 1/8 grid.
         assert result.quantization_error < 1e-9
         assert elapsed <= 300.0
 

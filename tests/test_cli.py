@@ -129,6 +129,17 @@ def test_value_clifford_plus_rz(capsys, schema):
     assert_usage_error(*run_cli(capsys, "value", "--setting", "clifford-plus-rz", "--epsilon", "2.0"))
 
 
+def test_single_evaluations_report_method_evaluated(capsys, schema):
+    # Both settings evaluate one fixed strategy; nothing is searched.
+    for setting in (["clifford-plus-rz", "--epsilon", "0.3"], ["qutrit-q3"]):
+        rc, out, _ = run_cli(capsys, "value", "--setting", *setting, "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        validate(payload, schema)
+        assert payload["method"] == "evaluated"
+        assert payload["strategies_examined"] == 1
+
+
 def test_value_rejects_unknown_setting(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["value", "--setting", "telepathy"])
@@ -171,6 +182,21 @@ def test_malformed_seed_env_is_a_usage_error(capsys, monkeypatch):
         cli.main(["verify-lemma1", "--n-random", "3"])
     assert exc.value.code == 2
     assert "CHSHSTAR_SEED" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch):
+    # Commands that seed a generator used to stop with numpy's "expected
+    # non-negative integer", and the others to accept and echo the seed.
+    for argv in (["verify-lemma1", "--n-random", "3", "--seed", "-1"],
+                 ["value", "--setting", "clifford", "--seed", "-3", "--format", "json"],
+                 ["landauer", "--p", "0.5", "--seed=-2"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert_usage_error(rc, out, err)
+        assert err.startswith("error: --seed must be >= 0, got -")
+    monkeypatch.setenv("CHSHSTAR_SEED", "-5")
+    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
+    assert_usage_error(rc, out, err)
+    assert err == "error: CHSHSTAR_SEED must be >= 0, got -5\n"
 
 
 def test_verify_lemma1_rejects_bad_tol(capsys):
@@ -346,6 +372,18 @@ def test_reproduce_all_warns_when_not_converged(capsys, monkeypatch):
     assert rc == 1  # the unitary row misses cos^2(pi/8)
     assert json.loads(out)["all_ok"] is False
     assert err.count("\n") == 1 and err.startswith("warning: ")
+
+
+def test_reproduce_all_rejects_a_unitary_value_short_of_the_bound(capsys, monkeypatch):
+    # A stalled optimum 5e-5 below cos^2(pi/8) must not pass as ok.
+    value_unitary = settings.value_unitary
+    monkeypatch.setattr(settings, "value_unitary",
+                        lambda config: replace(value_unitary(config), value=TSIRELSON - 5e-5))
+    rc, out, _ = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    assert [c["ok"] for c in payload["checks"] if c["name"] == "unitary"] == [False]
 
 
 def test_csv_not_available_outside_sweep():

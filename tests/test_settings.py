@@ -60,6 +60,81 @@ def test_value_clifford():
     assert abs(report.average - result.value) <= 1e-9
 
 
+def _float_clifford_enumeration():
+    """Reference: the Clifford search as a float enumeration of Born-rule averages.
+
+    For every initial eigenstate, measurement axis and outcome labeling, the
+    averages of all 24^4 gate tuples (A0, A1, B0, B1) come from the
+    probabilities |<axis+|B A|psi0>|^2; each must lie within 1e-9 of the 1/8
+    grid.  Returns the averages in eighths, indexed (initial, A0, A1, B0, B1,
+    2 * axis + labeling), the first-found maximum in the order (initial,
+    axis, labeling, A0, A1, B0, B1) with its location, and the count.
+    """
+    gate_stack = np.stack(settings.clifford_group_d2())
+    eigenstates = q.pauli_eigenstates()
+    eighths = np.empty((6, 24, 24, 24, 24, 6), dtype=np.uint8)
+    best, best_loc, examined = -1, None, 0
+    for si, psi0 in enumerate(eigenstates.values()):
+        a_images = np.einsum("gij,j->gi", gate_stack, psi0)
+        ba_images = np.einsum("hij,gj->hgi", gate_stack, a_images)
+        for ai, axis in enumerate("xyz"):
+            e_plus = eigenstates[axis + "+"]
+            w = (np.abs(np.einsum("i,hgi->hg", e_plus.conj(), ba_images)) ** 2).T  # (A, B)
+            t1, t2 = w[:, None, :, None], w[:, None, None, :]  # (a0, b0), (a0, b1)
+            t3, t4 = w[None, :, :, None], w[None, :, None, :]  # (a1, b0), (a1, b1)
+            for li, labeling in enumerate(((0, 1), (1, 0))):
+                if labeling == (0, 1):
+                    avg = (t1 + t2 + t3 + (1.0 - t4)) / 4.0
+                else:
+                    avg = ((1.0 - t1) + (1.0 - t2) + (1.0 - t3) + t4) / 4.0
+                examined += avg.size
+                assert np.max(np.abs(avg * 8 - np.round(avg * 8))) <= 1e-9
+                block = np.round(avg * 8).astype(np.uint8)
+                eighths[si, ..., 2 * ai + li] = block
+                if block.max() > best:
+                    loc = np.unravel_index(int(np.argmax(block)), block.shape)
+                    best, best_loc = int(block.max()), (si, axis, labeling, loc)
+    return eighths, best, best_loc, examined
+
+
+def test_clifford_search_matches_the_float_enumeration(monkeypatch):
+    # Every one of the 11,943,936 table-search scores (half-wins) equals the
+    # float enumeration's average in eighths, and so do the value, the
+    # first-found witness and the count.
+    calls = []
+    search = settings._search_tables
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(settings, "_search_tables", recorded)
+    result = settings.value_clifford()
+    (args,) = calls
+    eighths, best, (si, axis, labeling, gates), examined = _float_clifford_enumeration()
+    assert np.array_equal(np.stack(list(settings._score_blocks(*args))), eighths)
+    assert result.value == best / 8 == 0.75
+    assert result.strategies_examined == examined == 11943936
+    witness, cliffords = result.witness, settings.clifford_group_d2()
+    initial = q.State.from_ket(list(q.pauli_eigenstates().values())[si])
+    assert np.array_equal(witness.initial.density, initial.density)
+    slots = (witness.a_gates[0], witness.a_gates[1], witness.b_gates[0], witness.b_gates[1])
+    for channel, g in zip(slots, gates):
+        assert np.array_equal(channel.kraus[0], cliffords[g])
+    assert witness.measurement.outcome_labels == labeling
+    for p, ref in zip(witness.measurement.projectors, q.Measurement.pauli(axis).projectors):
+        assert np.array_equal(p, ref)
+
+
+def test_clifford_search_rejects_overlaps_off_the_grid(monkeypatch):
+    # A gate that is not a Clifford sends some eigenstate off the six, so an
+    # overlap leaves the {0, 1/2, 1} grid and the search stops.
+    group = settings.clifford_group_d2()
+    monkeypatch.setattr(settings, "clifford_group_d2", lambda: group[:-1] + [q.T])
+    with pytest.raises(settings.ConsistencyError, match=r"\(0, 1/2, 1\) grid"):
+        settings.value_clifford()
+
+
 def test_trivial_strategy_reaches_clifford_value():
     assert game.evaluate(game.GameSpec(2), settings.trivial_strategy()).average == 0.75
 
@@ -108,10 +183,6 @@ def test_value_classical_irreversible():
         images = {int(np.argmax(m[:, j])) for j in range(2)}
         constants.append(len(images) == 1)
     assert constants.count(True) == 1
-
-
-def test_value_classical_irreversible_bijective_recovers_reversible_bound():
-    assert settings.value_classical_irreversible(bijective_only=True).value == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +480,7 @@ def test_classical_searches_match_the_nested_loop_reference(monkeypatch):
     settings.value_classical_reversible(2)
     settings.value_classical_reversible(3)
     settings.value_classical_irreversible()
-    settings.value_classical_irreversible(bijective_only=True)
-    assert len(calls) == 6
+    assert len(calls) == 5
     for args, (wins, witness, examined) in calls:
         assert (wins, witness, examined) == _nested_loop_search(*args)
         assert type(wins) is int and type(examined) is int

@@ -78,6 +78,9 @@ COMMANDS = [
     ({}, ["value", "--setting", "telepathy"]),
     ({}, ["sweep-epsilon", "--steps", "5", "--format", "csv", "--output", "/nonexistent-dir/sweep.csv"]),
     ({"CHSHSTAR_SEED": "abc"}, ["verify-lemma1", "--n-random", "3"]),
+    ({}, ["verify-lemma1", "--n-random", "3", "--seed", "-1"]),
+    ({"CHSHSTAR_SEED": "-5"}, ["value", "--setting", "unitary", "--format", "json"]),
+    ({}, ["value", "--setting", "clifford", "--seed", "-3", "--format", "json"]),
 ]
 
 
