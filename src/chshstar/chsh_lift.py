@@ -23,11 +23,11 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _close,
     minus_ket,
     plus_ket,
     projector,
     random_unitary,
-    tensor,
 )
 
 
@@ -38,7 +38,7 @@ def bell_pair_ket() -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshStrategy:
     """Alice's and Bob's local gates per input of a two-player strategy.
 
@@ -73,6 +73,13 @@ def random_normal_form(rng: np.random.Generator) -> game.Strategy:
     return normal_form(*(random_unitary(2, rng) for _ in range(4)))
 
 
+_X_KETS = np.stack([plus_ket(), minus_ket()])
+_X_PROJECTORS = np.stack([projector(k) for k in _X_KETS])
+# Column 2x + y is the bra <x|<y| of both players' X outcomes, x, y = 0 for
+# |+> and 1 for |->.
+_OUTCOME_BRAS = (_X_KETS[:, None, :, None] * _X_KETS[None, :, None, :]).reshape(4, 4).conj().T
+
+
 def _require_normal_form(s: game.Strategy) -> None:
     if s.dim != 2:
         raise ValueError(f"lift requires a qubit strategy, got dimension {s.dim}")
@@ -80,12 +87,10 @@ def _require_normal_form(s: game.Strategy) -> None:
         for k, ch in gates.items():
             if not ch.is_unitary_channel():
                 raise ValueError(f"{name}_{k} is not a single-Kraus unitary channel")
-    if not np.allclose(s.initial.density, projector(plus_ket()), atol=ATOL_STRUCT, rtol=0.0):
+    if not _close(s.initial.density, _X_PROJECTORS[0], ATOL_STRUCT):
         raise ValueError("normal form requires the initial state |+>")
-    x_projectors = (projector(plus_ket()), projector(minus_ket()))
-    if s.measurement.outcome_labels != (0, 1) or not all(
-        np.allclose(p, q, atol=ATOL_STRUCT, rtol=0.0)
-        for p, q in zip(s.measurement.projectors, x_projectors)
+    if s.measurement.outcome_labels != (0, 1) or not _close(
+        s.measurement._stack, _X_PROJECTORS, ATOL_STRUCT
     ):
         raise ValueError("normal form requires the X measurement with labels (+ -> 0, - -> 1)")
 
@@ -100,31 +105,38 @@ def lift(s: game.Strategy) -> ChshStrategy:
 
 
 def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
-    """Exact joint table p(x, y | a, b) and the derived win probabilities."""
-    psi0 = bell_pair_ket()
-    x_kets = {0: plus_ket(), 1: minus_ket()}
-    outcome_kets = {
-        (x, y): np.kron(x_kets[x], x_kets[y]) for x, y in itertools.product((0, 1), repeat=2)
-    }
+    """Exact joint table p(x, y | a, b) and the derived win probabilities.
+
+    All input pairs are computed as one stack: the Kronecker products
+    A_a (x) B_b, applied to the Bell pair, projected on the four outcome
+    kets.  Checks, each once: every local gate is 2x2, and the joint table
+    of every input pair sums to 1.
+    """
+    inputs = list(itertools.product(sorted(cs.alice_gates), sorted(cs.bob_gates)))
+    alice = [cs.alice_gates[a] for a, _ in inputs]
+    bob = [cs.bob_gates[b] for _, b in inputs]
+    if any(np.shape(g) != (2, 2) for g in alice + bob):
+        raise ValueError("local gates must be 2x2")
+    alice = np.array(alice, dtype=complex).reshape(-1, 2, 2)
+    bob = np.array(bob, dtype=complex).reshape(-1, 2, 2)
+    # u[k] = alice[k] (x) bob[k] with one product per entry, as np.kron
+    # takes them (an einsum contraction rounds differently).
+    u = (alice[:, :, None, :, None] * bob[:, None, :, None, :]).reshape(len(inputs), 4, 4)
+    amplitudes = (u @ bell_pair_ket()) @ _OUTCOME_BRAS
+    # |amplitude| ** 2 through hypot and float powers, as abs() of a Python
+    # complex gives it.
+    magnitudes = np.hypot(amplitudes.real, amplitudes.imag).tolist()
     joint: dict[tuple[int, int, int, int], float] = {}
     per_input: dict[tuple[int, int], float] = {}
-    inputs = itertools.product(sorted(cs.alice_gates), sorted(cs.bob_gates))
-    for a, b in inputs:
-        u = tensor(cs.alice_gates[a], cs.bob_gates[b])
-        if u.shape != (4, 4):
-            raise ValueError("local gates must be 2x2")
-        psi = u @ psi0
-        win = 0.0
-        for (x, y), ket in outcome_kets.items():
-            amp = np.vdot(ket, psi)
-            p = float(abs(amp) ** 2)
-            joint[(a, b, x, y)] = p
-            if (x + y) % 2 == (a * b) % 2:
-                win += p
-        total = sum(joint[(a, b, x, y)] for x, y in itertools.product((0, 1), repeat=2))
+    for (a, b), row in zip(inputs, magnitudes):
+        p = [m ** 2 for m in row]
+        total = sum(p)
         if abs(total - 1.0) > ATOL_STRUCT:
             raise ValueError(f"joint table for input ({a}, {b}) sums to {total}")
-        per_input[(a, b)] = win
+        for k, pk in enumerate(p):
+            joint[(a, b, k >> 1, k & 1)] = pk
+        # x xor y = a*b wins: outcomes (0, 0) and (1, 1), or (0, 1) and (1, 0).
+        per_input[(a, b)] = p[1] + p[2] if (a * b) % 2 else p[0] + p[3]
     return ChshReport(per_input=per_input, joint_table=joint)
 
 

@@ -18,8 +18,10 @@ writes ``--output``, prints and picks the exit code; commands raise
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
 payload); the schema ships at ``chshstar/schemas/cli_output.schema.json``.
-The environment variable ``CHSHSTAR_SEED`` overrides the default seed; a
-negative seed from either source is a usage error.
+The environment variable ``CHSHSTAR_SEED`` overrides the default seed, and
+``--seed`` overrides the variable's value.  The variable is checked even when
+``--seed`` is given: a malformed or negative ``CHSHSTAR_SEED``, like a
+negative ``--seed``, is a usage error.
 """
 
 from __future__ import annotations

@@ -49,9 +49,12 @@ def winning_answer(spec: GameSpec, a: int, b: int) -> int:
     return (a * b) % spec.q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
-    """Initial state, controlled channels for both stages, final measurement."""
+    """Initial state, controlled channels for both stages, final measurement.
+
+    Compares and hashes by identity, as its quantum components do.
+    """
 
     initial: State
     a_gates: dict[int, Channel]

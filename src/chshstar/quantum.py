@@ -14,7 +14,7 @@ operators and density matrices 2-D.  Phase conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,9 +187,13 @@ def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9)
     return bool(np.allclose(phase_canonical(a, atol), phase_canonical(b, atol), atol=atol, rtol=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
-    """Quantum state as a d x d density matrix (pure states are rank-1)."""
+    """Quantum state as a d x d density matrix (pure states are rank-1).
+
+    Like ``Channel`` and ``Measurement``, a state compares and hashes by
+    identity: its fields are arrays, which have no single truth value.
+    """
 
     density: np.ndarray
 
@@ -209,11 +213,17 @@ class State:
         return self.density.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """Trace-preserving map given by Kraus operators {K_i}, sum K_i^+ K_i = I."""
+    """Trace-preserving map given by Kraus operators {K_i}, sum K_i^+ K_i = I.
+
+    The operators are kept once, as the read-only stack ``_stack`` (n, d, d)
+    that the completeness check ran on; ``kraus`` holds views of that stack,
+    so ``apply_channel`` never re-stacks them.
+    """
 
     kraus: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(_as_matrix(k, "kraus operator") for k in self.kraus)
@@ -225,16 +235,27 @@ class Channel:
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
         ks = np.stack(ops)
+        ks.flags.writeable = False
         if not _close((_dagger_stack(ks) @ ks).sum(axis=0), np.eye(shape[0]), ATOL_STRUCT):
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ks))
+        object.__setattr__(self, "_stack", ks)
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "Channel":
+        """Single-Kraus channel of a square matrix u.
+
+        Checks, each once: u is 2-D and square, and U^+ U = I (the
+        constructor's completeness check for one operator).  Any failure
+        is reported as "matrix is not unitary".
+        """
         u = _as_matrix(u, "unitary")
-        if u.shape[0] != u.shape[1] or not _all_unitary(u[None]):
+        if u.shape[0] != u.shape[1]:
             raise ValueError("matrix is not unitary")
-        return cls((u,))
+        try:
+            return cls((u,))
+        except ValueError:
+            raise ValueError("matrix is not unitary") from None
 
     @classmethod
     def erase(cls) -> "Channel":
@@ -286,8 +307,7 @@ def apply_channel(ch: Channel, s: State) -> State:
     """rho -> sum_i K_i rho K_i^+ ."""
     if ch.dim != s.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {s.dim}")
-    ks = np.stack(ch.kraus)
-    return State((ks @ s.density @ _dagger_stack(ks)).sum(axis=0))
+    return State((ch._stack @ s.density @ _dagger_stack(ch._stack)).sum(axis=0))
 
 
 def apply_unitary_stack(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -297,12 +317,21 @@ def apply_unitary_stack(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return rhos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
-    """Projective measurement with an integer game label per raw outcome."""
+    """Projective measurement with an integer game label per raw outcome.
+
+    The constructor runs each check once over the stack of projectors:
+    Hermitian; idempotent (P_i P_i = P_i) and pairwise orthogonal
+    (P_i P_j = 0 for i != j), both read off one product of every pair;
+    summing to the identity.  The validated stack is kept read-only as
+    ``_stack`` (n, d, d), and ``projectors`` holds views of it, so
+    ``outcome_probabilities`` never re-stacks them.
+    """
 
     projectors: tuple[np.ndarray, ...]
     outcome_labels: tuple[int, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         projs = tuple(_as_matrix(p, "projector") for p in self.projectors)
@@ -314,17 +343,20 @@ class Measurement:
         if any(p.shape != (d, d) for p in projs):
             raise ValueError("all projectors must share one dimension")
         ps = np.stack(projs)
+        ps.flags.writeable = False
         if not _close(ps, _dagger_stack(ps), ATOL_STRUCT):
             raise ValueError("projector is not Hermitian")
-        if not _close(ps @ ps, ps, ATOL_STRUCT):
+        products = ps[:, None] @ ps[None]  # products[i, j] = P_i P_j
+        same = np.eye(len(ps), dtype=bool)
+        if not _close(products[same], ps, ATOL_STRUCT):
             raise ValueError("projector is not idempotent")
-        i, j = np.triu_indices(len(ps), 1)
-        if not _close(ps[i] @ ps[j], 0.0, ATOL_STRUCT):
+        if not _close(products[~same], 0.0, ATOL_STRUCT):
             raise ValueError("projectors are not pairwise orthogonal")
         if not _close(ps.sum(axis=0), np.eye(d), ATOL_STRUCT):
             raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", tuple(ps))
         object.__setattr__(self, "outcome_labels", tuple(int(c) for c in self.outcome_labels))
+        object.__setattr__(self, "_stack", ps)
 
     @classmethod
     def from_basis(cls, kets, labels=None) -> "Measurement":
@@ -370,10 +402,16 @@ class Measurement:
 
 
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
-    """Label -> probabilities over a stack of densities, outcomes sharing a label summed."""
+    """Label -> probabilities over a stack of densities, outcomes sharing a label summed.
+
+    Every outcome's trace tr(P_i rho) comes from one product of the
+    measurement's projector stack with the density stack.  One check runs,
+    once per density: the probabilities sum to 1.
+    """
+    traces = np.trace(m._stack @ rhos[:, None], axis1=2, axis2=3).real
     agg: dict[int, np.ndarray] = {}
-    for p, label in zip(m.projectors, m.outcome_labels):
-        agg[label] = agg.get(label, 0.0) + np.trace(p @ rhos, axis1=1, axis2=2).real
+    for i, label in enumerate(m.outcome_labels):
+        agg[label] = agg.get(label, 0.0) + traces[:, i]
     total = sum(agg.values())
     ok = np.abs(total - 1.0) <= ATOL_STRUCT
     if not ok.all():

@@ -48,6 +48,61 @@ def test_joint_table_normalized_per_input():
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def _reference_evaluate_chsh(cs):
+    # One input pair at a time: np.kron of the local gates, applied to the
+    # Bell pair, and one np.vdot per outcome ket.
+    kets = {0: q.plus_ket(), 1: q.minus_ket()}
+    joint, per_input = {}, {}
+    for a in sorted(cs.alice_gates):
+        for b in sorted(cs.bob_gates):
+            psi = np.kron(cs.alice_gates[a], cs.bob_gates[b]) @ chsh_lift.bell_pair_ket()
+            per_input[(a, b)] = 0.0
+            for x in (0, 1):
+                for y in (0, 1):
+                    p = abs(np.vdot(np.kron(kets[x], kets[y]), psi)) ** 2
+                    joint[(a, b, x, y)] = p
+                    if (x + y) % 2 == (a * b) % 2:
+                        per_input[(a, b)] += p
+    return joint, per_input
+
+
+def test_stacked_evaluation_matches_the_per_input_loop():
+    rng = np.random.default_rng(2024)
+    strategies = [optimal_unitary_strategy()]
+    strategies += [chsh_lift.random_normal_form(rng) for _ in range(200)]
+    for s in strategies:
+        cs = chsh_lift.lift(s)
+        report = chsh_lift.evaluate_chsh(cs)
+        joint, per_input = _reference_evaluate_chsh(cs)
+        assert report.joint_table.keys() == joint.keys()
+        assert report.per_input.keys() == per_input.keys()
+        for key, p in joint.items():
+            assert abs(report.joint_table[key] - p) <= 1e-15
+        for key, p in per_input.items():
+            assert abs(report.per_input[key] - p) <= 1e-15
+
+
+def test_evaluate_chsh_rejects_gates_that_are_not_2x2():
+    cs = chsh_lift.lift(optimal_unitary_strategy())
+    for bad in (np.eye(3, dtype=complex), np.ones(2, dtype=complex)):
+        with pytest.raises(ValueError, match="local gates must be 2x2"):
+            chsh_lift.evaluate_chsh(
+                chsh_lift.ChshStrategy(alice_gates=cs.alice_gates, bob_gates={**cs.bob_gates, 1: bad})
+            )
+
+
+def test_evaluate_chsh_without_input_pairs_is_empty():
+    report = chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates={0: q.I2}, bob_gates={}))
+    assert report.per_input == {} and report.joint_table == {}
+
+
+def test_evaluate_chsh_rejects_a_table_that_does_not_sum_to_one():
+    cs = chsh_lift.lift(optimal_unitary_strategy())
+    scaled = {**cs.bob_gates, 1: 1.1 * cs.bob_gates[1]}
+    with pytest.raises(ValueError, match=r"input \(0, 1\) sums to 1\.2"):
+        chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates=cs.alice_gates, bob_gates=scaled))
+
+
 def test_lift_rejects_non_normal_form():
     s = optimal_unitary_strategy()
     with pytest.raises(ValueError, match="unitary"):

@@ -85,6 +85,18 @@ def test_strategy_rejects_mixed_dimensions():
         )
 
 
+def test_strategy_and_components_compare_and_hash_by_identity():
+    # Their fields are arrays, so field-wise == would have no truth value.
+    assert (q.Measurement.pauli("x") == q.Measurement.pauli("x")) is False
+    s, twin = optimal_unitary_strategy(), optimal_unitary_strategy()
+    pairs = [(s.initial, twin.initial), (s.a_gates[1], twin.a_gates[1]),
+             (s.measurement, twin.measurement), (s, twin)]
+    for obj, equal_twin in pairs:
+        assert obj == obj
+        assert (obj == equal_twin) is False
+        assert {obj: 1}[obj] == 1
+
+
 # ---------------------------------------------------------------------------
 # Classical evaluation
 # ---------------------------------------------------------------------------

@@ -154,6 +154,45 @@ def test_measurement_invariants_rejected():
         q.Measurement((0.5 * q.I2, 0.5 * q.I2), (0, 1))
 
 
+def test_measurement_orthogonality_checks_every_pair():
+    # The repeated projector is the pair (1, 2) of three, off the diagonal
+    # of the product of every pair with every other.
+    p0, p1 = q.projector(q.basis_ket(3, 0)), q.projector(q.basis_ket(3, 1))
+    with pytest.raises(ValueError, match="orthogonal"):
+        q.Measurement((p0, p1, p1), (0, 1, 2))
+
+
+def test_validated_operators_are_read_only():
+    # outcome_probabilities and apply_channel use the stacks the constructors
+    # checked, so the operators handed out must not change after the checks.
+    m = q.Measurement.pauli("x")
+    ch = q.Channel.unitary(q.S)
+    with pytest.raises(ValueError, match="read-only"):
+        m.projectors[0][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus[0][0, 0] = 0.0
+
+
+def test_channel_unitary_rejects_a_scaled_unitary():
+    with pytest.raises(ValueError, match="not unitary"):
+        q.Channel.unitary(1.001 * q.S)
+    with pytest.raises(ValueError, match="not unitary"):
+        q.Channel.unitary(np.ones((2, 3)))
+
+
+def test_outcome_probabilities_with_shared_labels_match_per_projector_traces():
+    rng = np.random.default_rng(11)
+    m = q.Measurement.computational(3, (0, 0, 1))
+    rhos = np.stack([_random_state(rng, 3).density for _ in range(20)])
+    expected: dict[int, np.ndarray] = {}
+    for p, label in zip(m.projectors, m.outcome_labels):
+        expected[label] = expected.get(label, 0.0) + np.trace(p @ rhos, axis1=1, axis2=2).real
+    probs = q.outcome_probabilities(m, rhos)
+    assert sorted(probs) == sorted(expected)
+    for label in expected:
+        assert np.array_equal(probs[label], expected[label])
+
+
 def test_x_measurement_of_plus():
     dist = dict(q.outcome_distribution(q.Measurement.pauli("x"), q.State.from_ket(q.plus_ket())))
     assert dist[0] == pytest.approx(1.0, abs=1e-12)

@@ -50,6 +50,8 @@ COMMANDS = [
     *(({}, ["verify-lemma1", "--n-random", "5", *tol, "--format", f])
       for tol in ([], ["--tol", "1e-16"]) for f in ("json", "text")),
     ({"CHSHSTAR_SEED": "777"}, ["verify-lemma1", "--n-random", "3", "--format", "json"]),
+    # The lift at the batch size of the benchmark's value table.
+    ({}, ["verify-lemma1", "--n-random", "200", "--seed", "5", "--format", "json"]),
     *(({}, ["sweep-epsilon", "--steps", "9", "--format", f]) for f in ("json", "csv", "text")),
     ({}, ["sweep-epsilon", "--steps", "1001", "--format", "csv"]),
     *(({}, ["landauer", *a, "--format", f]) for a in _LANDAUER for f in ("json", "text")),
