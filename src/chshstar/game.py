@@ -107,10 +107,11 @@ def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:
-    """Normalize a classical gate to a left-stochastic d x d matrix.
+    """Normalize a classical gate to a new, read-only left-stochastic d x d matrix.
 
     Accepts a function table (sequence of d symbol images) or an explicit
-    left-stochastic matrix; anything else is rejected.
+    left-stochastic matrix; anything else is rejected.  A matrix is copied,
+    so a later write to the caller's array cannot change a validated gate.
     """
     arr = np.asarray(gate)
     if arr.ndim == 1:
@@ -119,12 +120,13 @@ def stochastic_matrix(gate, d: int) -> np.ndarray:
         m = np.zeros((d, d))
         for j, i in enumerate(arr):
             m[int(i), j] = 1.0
-        return m
-    m = np.asarray(arr, dtype=float)
-    if m.shape != (d, d):
-        raise ValueError(f"gate matrix must be {d}x{d}, got {m.shape}")
-    if not is_left_stochastic(m):
-        raise ValueError("gate matrix is not left-stochastic")
+    else:
+        m = np.array(arr, dtype=float)
+        if m.shape != (d, d):
+            raise ValueError(f"gate matrix must be {d}x{d}, got {m.shape}")
+        if not is_left_stochastic(m):
+            raise ValueError("gate matrix is not left-stochastic")
+    m.flags.writeable = False
     return m
 
 

@@ -130,7 +130,7 @@ def _dagger_stack(m: np.ndarray) -> np.ndarray:
 
 
 def _close(a: np.ndarray, b, atol: float) -> bool:
-    return bool(np.all(np.abs(a - b) <= atol))
+    return bool((np.abs(a - b) <= atol).all())
 
 
 def _all_unitary(us: np.ndarray) -> bool:
@@ -192,15 +192,18 @@ class State:
     """Quantum state as a d x d density matrix (pure states are rank-1).
 
     Like ``Channel`` and ``Measurement``, a state compares and hashes by
-    identity: its fields are arrays, which have no single truth value.
+    identity: its fields are arrays, which have no single truth value.  It
+    keeps a read-only copy of the caller's array, so a later write to that
+    array cannot change a validated state.
     """
 
     density: np.ndarray
 
     def __post_init__(self):
-        rho = _as_matrix(self.density, "density")
+        rho = _as_matrix(self.density, "density").copy()
         if rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
+        rho.flags.writeable = False
         check_density_stack(rho[None])
         object.__setattr__(self, "density", rho)
 

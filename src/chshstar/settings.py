@@ -2,10 +2,10 @@
 
 Finite settings (Clifford, classical reversible/irreversible, classical
 mod-3) are searched exhaustively; the unitary setting is optimized by
-gradient-based L-BFGS-B with seeded restarts over Euler-angle
-parametrizations, with the gradient in closed form.  Every returned
-witness is re-evaluated through the generic evaluators as a consistency
-check before the result is handed back.
+gradient-based L-BFGS-B with seeded restarts over the Bloch angles of the
+normal form's four Bloch vectors, with the gradient in closed form.  Every
+returned witness is re-evaluated through the generic evaluators as a
+consistency check before the result is handed back.
 """
 
 from __future__ import annotations
@@ -42,12 +42,13 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
-# ZYZ angles (alpha, beta, gamma) per gate for the S / T-dagger / T strategy.
+# Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
+# strategy: n_a is the Bloch vector of A_a|+>, m_b that of B_b^+|+>.
 OPTIMAL_UNITARY_ANGLES = (
-    0.0, 0.0, 0.0,            # A0 = I
-    np.pi / 2, 0.0, 0.0,      # A1 = S
-    -np.pi / 4, 0.0, 0.0,     # B0 = T^+
-    np.pi / 4, 0.0, 0.0,      # B1 = T
+    np.pi / 2, 0.0,           # n_0 = x: A0 = I
+    np.pi / 2, np.pi / 2,     # n_1 = y: A1 = S
+    np.pi / 2, np.pi / 4,     # m_0 = (x + y)/sqrt(2): B0 = T^+
+    np.pi / 2, -np.pi / 4,    # m_1 = (x - y)/sqrt(2): B1 = T
 )
 
 
@@ -374,35 +375,6 @@ def value_classical_q3(gate_family: str = "all") -> ValueResult:
 # Unitary setting (numerical optimization)
 # ---------------------------------------------------------------------------
 
-def _euler(angles: np.ndarray) -> np.ndarray:
-    a, b, g = angles
-    return rz(a) @ ry(b) @ rz(g)
-
-
-def _bloch_ket(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)
-
-
-def _rot_z(c: float, s: float, w: tuple) -> tuple:
-    """Rotate the 3-vector ``w`` about z by the angle of cosine c and sine s."""
-    return (c * w[0] - s * w[1], s * w[0] + c * w[1], w[2])
-
-
-def _rot_y(c: float, s: float, w: tuple) -> tuple:
-    """Rotate the 3-vector ``w`` about y by the angle of cosine c and sine s."""
-    return (c * w[0] + s * w[2], w[1], c * w[2] - s * w[0])
-
-
-def _cross_z(w: tuple) -> tuple:
-    """z x w: the derivative of a z rotation at angle 0."""
-    return (-w[1], w[0], 0.0)
-
-
-def _cross_y(w: tuple) -> tuple:
-    """y x w: the derivative of a y rotation at angle 0."""
-    return (w[2], 0.0, -w[0])
-
-
 def _dot(u: tuple, w: tuple) -> float:
     return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
@@ -412,102 +384,49 @@ def _sum_and_difference(u: tuple, w: tuple) -> tuple[tuple, tuple]:
 
 
 def _bloch(theta: float, phi: float) -> tuple[tuple, tuple, tuple]:
-    """The Bloch vector of ``_bloch_ket(theta, phi)`` and its partials in theta and phi."""
+    """The Bloch vector of polar angle theta and azimuth phi, and its two partials."""
     ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
     return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
 
 
-def _rotate(trig: list, w: tuple) -> tuple[tuple, tuple]:
-    """R w for R = Rz(alpha) Ry(beta) Rz(gamma), and its partials in (alpha, beta, gamma).
+def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
+    """Minus the average win of ``_bloch_strategy(angles)``, and its gradient.
 
-    ``trig`` holds the (cos, sin) of alpha, beta and gamma.  Each partial
-    inserts the generator (``_cross_z`` or ``_cross_y``) of its angle's
-    rotation after that rotation.
-    """
-    (ca, sa), (cb, sb), (cg, sg) = trig
-    u1 = _rot_z(cg, sg, w)
-    u2 = _rot_y(cb, sb, u1)
-    r = _rot_z(ca, sa, u2)
-    partials = (
-        _cross_z(r),
-        _rot_z(ca, sa, _cross_y(u2)),
-        _rot_z(ca, sa, _rot_y(cb, sb, _cross_z(u1))),
-    )
-    return r, partials
-
-
-def _rotate_back(trig: list, w: tuple) -> tuple[tuple, tuple]:
-    """R^T w = Rz(-gamma) Ry(-beta) Rz(-alpha) w, and minus its partials.
-
-    The partials are in (alpha, beta, gamma) of R, as for ``_rotate``.
-    """
-    (ca, sa), (cb, sb), (cg, sg) = trig
-    t1 = _rot_z(ca, -sa, w)
-    t2 = _rot_y(cb, -sb, t1)
-    r = _rot_z(cg, -sg, t2)
-    minus_partials = (
-        _rot_z(cg, -sg, _rot_y(cb, -sb, _cross_z(t1))),
-        _rot_z(cg, -sg, _cross_y(t2)),
-        _cross_z(r),
-    )
-    return r, minus_partials
-
-
-def _objective(angles: np.ndarray, free_state_and_measurement: bool) -> tuple[float, list[float]]:
-    """Minus the average win of ``_euler_strategy(angles, ...)``, and its gradient.
-
-    Angles 3k..3k+2 give gate k of (A0, A1, B0, B1) as
-    rz(alpha) ry(beta) rz(gamma), which acts on Bloch vectors as the rotation
-    R_k = Rz(alpha) Ry(beta) Rz(gamma).  Free mode takes the Bloch angles of
-    the initial ket from 12, 13 and of the + outcome from 14, 15; fixed mode
-    starts from |+> and measures along x, so both vectors are x.  With
-    n_a = R_{A_a} v (v the initial Bloch vector) and m_b = R_{B_b}^T e (e the
-    + outcome's), input (a, b) wins with probability (1 + (-1)^{ab} n_a . m_b) / 2,
-    so the average is 1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small
-    sum whose rounding stays below the ulp of 1/2.  Each partial derivative
-    replaces n_a, m_b, v or e in that sum by its own partial.  This is the
-    optimizer's inner loop, so it runs on Python floats.
+    Angles 2k, 2k+1 are the Bloch angles (theta, phi) of the k-th vector of
+    (n_0, n_1, m_0, m_1): n_a is the Bloch vector of A_a|+> and m_b that of
+    B_b^+|+>.  In the normal form (|+>, X measurement) input (a, b) wins with
+    probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
+    1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
+    rounding stays below the ulp of 1/2.  Each partial derivative replaces
+    one vector in that sum by its own partial.  This is the optimizer's inner
+    loop, so it runs on Python floats.
     """
     x = angles.tolist()
-    gates = [[(math.cos(t), math.sin(t)) for t in x[k:k + 3]] for k in (0, 3, 6, 9)]
-    if free_state_and_measurement:
-        v, dv_theta, dv_phi = _bloch(x[12], x[13])
-        e, de_theta, de_phi = _bloch(x[14], x[15])
-    else:
-        v = e = (1.0, 0.0, 0.0)
-    (n0, dn0), (n1, dn1) = (_rotate(gates[a], v) for a in (0, 1))
-    (m0, dm0), (m1, dm1) = (_rotate_back(gates[2 + b], e) for b in (0, 1))
+    n0, n1, m0, m1 = (_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6))
     # M_a = m_0 + (-1)^a m_1 and N_b = n_0 + (-1)^b n_1, so that
     # sum_ab (-1)^{ab} n_a . m_b = sum_a n_a . M_a = sum_b N_b . m_b.
-    m_pm = _sum_and_difference(m0, m1)
-    n_pm = _sum_and_difference(n0, n1)
-    total = _dot(n0, m_pm[0]) + _dot(n1, m_pm[1])
-    grad = [-_dot(m_pm[a], d) / 8.0 for a, dn in enumerate((dn0, dn1)) for d in dn]
-    # _rotate_back returns minus the partials of m_b, hence the opposite sign.
-    grad += [_dot(n_pm[b], d) / 8.0 for b, dm in enumerate((dm0, dm1)) for d in dm]
-    if free_state_and_measurement:
-        # v enters as R_{A_a} v and e as R_{B_b}^T e, so their partials are
-        # taken against sum_a R_{A_a}^T M_a and sum_b R_{B_b} N_b.
-        wv = [_rotate_back(gates[a], m_pm[a])[0] for a in (0, 1)]
-        we = [_rotate(gates[2 + b], n_pm[b])[0] for b in (0, 1)]
-        grad += [-(_dot(wv[0], d) + _dot(wv[1], d)) / 8.0 for d in (dv_theta, dv_phi)]
-        grad += [-(_dot(we[0], d) + _dot(we[1], d)) / 8.0 for d in (de_theta, de_phi)]
+    m_pm = _sum_and_difference(m0[0], m1[0])
+    n_pm = _sum_and_difference(n0[0], n1[0])
+    total = _dot(n0[0], m_pm[0]) + _dot(n1[0], m_pm[1])
+    # Each vector's two partials are taken against the sum it is paired with.
+    pairs = ((n0, m_pm[0]), (n1, m_pm[1]), (m0, n_pm[0]), (m1, n_pm[1]))
+    grad = [-_dot(w, d) / 8.0 for (_, *partials), w in pairs for d in partials]
     return -(0.5 + total / 8.0), grad
 
 
-def _euler_strategy(angles: np.ndarray, free_state_and_measurement: bool) -> game.Strategy:
-    """The strategy whose average win ``_objective`` computes from ``angles``."""
-    a0, a1, b0, b1 = (_euler(angles[3 * k:3 * k + 3]) for k in range(4))
-    if not free_state_and_measurement:
-        return normal_form(a0, a1, b0, b1)
-    e_plus = _bloch_ket(angles[14], angles[15])
-    e_minus = np.array([-e_plus[1].conj(), e_plus[0].conj()], dtype=complex)
-    return game.Strategy(
-        initial=State.from_ket(_bloch_ket(angles[12], angles[13])),
-        a_gates={0: Channel.unitary(a0), 1: Channel.unitary(a1)},
-        b_gates={0: Channel.unitary(b0), 1: Channel.unitary(b1)},
-        measurement=Measurement.from_basis([e_plus, e_minus]),
-    )
+def _bloch_gate(theta: float, phi: float) -> np.ndarray:
+    """rz(phi) ry(theta) H: sends |+> to the ket of Bloch angles (theta, phi)."""
+    return rz(phi) @ ry(theta) @ H
+
+
+def _bloch_strategy(angles: np.ndarray) -> game.Strategy:
+    """The normal-form strategy whose average win ``_objective`` computes from ``angles``.
+
+    With G = ``_bloch_gate``, A_a = G(n_a) and B_b = G(m_b)^+, so that
+    A_a|+> has Bloch vector n_a and B_b^+|+> has m_b.
+    """
+    a0, a1, g0, g1 = (_bloch_gate(angles[k], angles[k + 1]) for k in (0, 2, 4, 6))
+    return normal_form(a0, a1, g0.conj().T, g1.conj().T)
 
 
 def minimize(*args, **kwargs):
@@ -521,26 +440,22 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def value_unitary(
-    config: OptimizerConfig | None = None,
-    free_state_and_measurement: bool = False,
-    initial_points=None,
-) -> ValueResult:
-    """Maximize the average win over four ZYZ-parametrized unitaries.
+def value_unitary(config: OptimizerConfig | None = None, initial_points=None) -> ValueResult:
+    """Maximize the average win over the normal form's four Bloch vectors.
 
-    By default the initial state is fixed to |+> and the measurement to X
-    (the normal form); with ``free_state_and_measurement`` the initial ket
-    and the measurement basis are parametrized and optimized as well, and
-    the degenerate {0, I} measurement (which plays a constant and reaches
-    0.75 at best) is included explicitly.  Gradient-based L-BFGS-B with
-    seeded restarts, on ``_objective``'s value and closed-form gradient;
-    ``initial_points`` adds explicit extra starts.  ``converged`` of the
-    result is the success flag of the best restart, and
-    ``strategies_examined`` counts the objective-and-gradient evaluations of
-    all restarts.
+    The normal form (|+>, four unitaries, X measurement) loses nothing for a
+    qubit, since the initial state and the measurement basis can be absorbed
+    into the gates.  Its average win depends on the gates only through the
+    Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
+    their 8 Bloch angles: gradient-based L-BFGS-B with seeded restarts, on
+    ``_objective``'s value and closed-form gradient; ``initial_points`` adds
+    explicit extra starts.  The witness is ``_bloch_strategy`` of the best
+    angles.  ``converged`` of the result is the success flag of the best
+    restart, and ``strategies_examined`` counts the objective-and-gradient
+    evaluations of all restarts.
     """
     config = config or OptimizerConfig()
-    n_params = 16 if free_state_and_measurement else 12
+    n_params = 8
 
     rng = np.random.default_rng(config.seed)
     starts = [np.asarray(p, dtype=float) for p in (initial_points or [])]
@@ -553,7 +468,6 @@ def value_unitary(
         res = minimize(
             _objective,
             x0,
-            args=(free_state_and_measurement,),
             method="L-BFGS-B",
             jac=True,
             options={"maxiter": config.max_iterations, "ftol": config.tolerance, "gtol": 1e-8},
@@ -562,18 +476,9 @@ def value_unitary(
         if -res.fun > best_val:
             best_val, best_angles, converged = -res.fun, res.x, bool(res.success)
 
-    # Rank-0/rank-2 projector pairs act as a constant answer: value 0.75.
-    if free_state_and_measurement and best_val < 0.75:
-        return ValueResult(
-            value=0.75,
-            witness=trivial_strategy(),
-            method="optimized",
-            strategies_examined=evaluations,
-            converged=converged,
-        )
     # The value is the witness's exact evaluation, not the optimizer's own
     # number, which can lie an ulp or two above it (and above cos^2(pi/8)).
-    witness = _euler_strategy(best_angles, free_state_and_measurement)
+    witness = _bloch_strategy(best_angles)
     report = game.evaluate(game.GameSpec(2), witness)
     _check_witness(best_val, report.average)
     return ValueResult(

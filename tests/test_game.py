@@ -170,6 +170,22 @@ def test_column_sums_off_by_more_than_the_channel_tolerance_rejected():
         q.Channel.classical(np.array(m))
 
 
+def test_classical_strategy_keeps_its_own_copy_of_gate_matrices():
+    # A write to the caller's gate matrix after validation must not reach
+    # the strategy: here it would give a per-input value of 3.0.
+    g = np.eye(2)
+    cs = game.ClassicalStrategy(
+        num_symbols=2, initial=1, a_gates={0: g, 1: g}, b_gates={0: (0, 1), 1: (0, 1)},
+        readout=(0, 1),
+    )
+    g[0, 1], g[1, 1] = 3.0, -2.0
+    report = game.evaluate_classical(game.GameSpec(2), cs)
+    assert report.per_input == {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 1.0}
+    assert report.average == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        cs.a_gates[0][0, 1] = 3.0
+
+
 def test_dirichlet_column_matrices_accepted():
     rng = np.random.default_rng(17)
     for d in (2, 3, 5):

@@ -173,6 +173,19 @@ def test_validated_operators_are_read_only():
         ch.kraus[0][0, 0] = 0.0
 
 
+def test_state_keeps_its_own_copy_of_the_density():
+    # A write to the caller's array after validation must not reach the
+    # state: here it would give "probabilities" 3.25 and -2.25.
+    rho = q.projector(q.plus_ket())
+    s = q.State(rho)
+    rho[0, 1] = 5.0
+    dist = dict(q.outcome_distribution(q.Measurement.pauli("x"), s))
+    assert dist[0] == pytest.approx(1.0, abs=1e-12)
+    assert dist[1] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="read-only"):
+        s.density[0, 1] = 5.0
+
+
 def test_channel_unitary_rejects_a_scaled_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         q.Channel.unitary(1.001 * q.S)

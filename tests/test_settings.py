@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chshstar import game, settings
+from chshstar.chsh_lift import normal_form
 from chshstar import quantum as q
 
 TSIRELSON = np.cos(np.pi / 8) ** 2
@@ -217,10 +218,49 @@ def test_value_unitary_seeded_at_optimum():
     assert result.value >= TSIRELSON - 1e-12
 
 
-def test_value_unitary_free_mode_matches_fixed_mode():
-    fixed = settings.value_unitary()
-    free = settings.value_unitary(free_state_and_measurement=True)
-    assert abs(fixed.value - free.value) < 1e-6
+def test_initial_state_and_measurement_fold_into_the_normal_form():
+    # The reduction behind optimizing the normal form only: with U|+-> =
+    # |psi>, |psi_perp> and W|+-> = |e+-> (labels 0, 1), the strategy
+    # (|psi>, A_a, B_b, {e+, e-}) has the per-input table of
+    # normal_form(A_a U, W^+ B_b).
+    rng = np.random.default_rng(53)
+    spec = game.GameSpec(2)
+    plus_minus = np.stack([q.plus_ket(), q.minus_ket()], axis=1)
+    for _ in range(50):
+        psi = q.random_unitary(2, rng)
+        e = q.random_unitary(2, rng)
+        a0, a1, b0, b1 = (q.random_unitary(2, rng) for _ in range(4))
+        strategy = game.Strategy(
+            initial=q.State.from_ket(psi[:, 0]),
+            a_gates={0: q.Channel.unitary(a0), 1: q.Channel.unitary(a1)},
+            b_gates={0: q.Channel.unitary(b0), 1: q.Channel.unitary(b1)},
+            measurement=q.Measurement.from_basis([e[:, 0], e[:, 1]], labels=(0, 1)),
+        )
+        u = psi @ plus_minus.conj().T
+        w_dagger = plus_minus @ e.conj().T
+        folded = normal_form(a0 @ u, a1 @ u, w_dagger @ b0, w_dagger @ b1)
+        general = game.evaluate(spec, strategy).per_input
+        normal = game.evaluate(spec, folded).per_input
+        assert max(abs(general[k] - normal[k]) for k in general) <= 1e-12
+
+
+def test_bloch_strategy_builds_the_witness():
+    rng = np.random.default_rng(59)
+    for theta, phi in rng.uniform(0.0, 2 * np.pi, size=(50, 2)):
+        ket = settings._bloch_gate(theta, phi) @ q.plus_ket()
+        rho = q.projector(ket)
+        bloch = [np.trace(rho @ p).real for p in (q.X, q.Y, q.Z)]
+        assert np.allclose(bloch, settings._bloch(theta, phi)[0], rtol=0.0, atol=1e-12)
+    spec = game.GameSpec(2)
+    angles = np.array(settings.OPTIMAL_UNITARY_ANGLES)
+    built = game.evaluate(spec, settings._bloch_strategy(angles)).per_input
+    optimal = game.evaluate(spec, settings.optimal_unitary_strategy()).per_input
+    assert max(abs(built[k] - optimal[k]) for k in optimal) <= 1e-15
+
+
+def test_value_unitary_rejects_a_start_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="start point must have 8 angles"):
+        settings.value_unitary(initial_points=[np.zeros(12)])
 
 
 def test_value_unitary_reports_non_convergence():
@@ -228,28 +268,25 @@ def test_value_unitary_reports_non_convergence():
     assert short.converged is False
 
 
-@pytest.mark.parametrize("free", [False, True])
-def test_objective_is_minus_the_evaluated_average(free):
-    rng = np.random.default_rng(31 + free)
+def test_objective_is_minus_the_evaluated_average():
+    rng = np.random.default_rng(31)
     spec = game.GameSpec(2)
     for _ in range(200):
-        angles = rng.uniform(0.0, 2 * np.pi, size=16 if free else 12)
-        strategy = settings._euler_strategy(angles, free)
-        expected = -game.evaluate(spec, strategy).average
-        assert abs(settings._objective(angles, free)[0] - expected) <= 1e-12
+        angles = rng.uniform(0.0, 2 * np.pi, size=8)
+        expected = -game.evaluate(spec, settings._bloch_strategy(angles)).average
+        assert abs(settings._objective(angles)[0] - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("free", [False, True])
-def test_objective_gradient_matches_central_differences(free):
-    rng = np.random.default_rng(41 + free)
+def test_objective_gradient_matches_central_differences():
+    rng = np.random.default_rng(41)
     h = 1e-6
     for _ in range(200):
-        angles = rng.uniform(0.0, 2 * np.pi, size=16 if free else 12)
-        _, grad = settings._objective(angles, free)
+        angles = rng.uniform(0.0, 2 * np.pi, size=8)
+        _, grad = settings._objective(angles)
         assert len(grad) == angles.size
         for i, step in enumerate(np.eye(angles.size) * h):
-            central = (settings._objective(angles + step, free)[0]
-                       - settings._objective(angles - step, free)[0]) / (2 * h)
+            central = (settings._objective(angles + step)[0]
+                       - settings._objective(angles - step)[0]) / (2 * h)
             assert abs(grad[i] - central) <= 1e-6
 
 
