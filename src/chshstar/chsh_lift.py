@@ -8,6 +8,10 @@ yields x = 0 and leaves ``A_a |+>`` on Bob's side, measuring ``|->`` yields
 x = 1 and leaves ``A_a Z |+>``.  The two games then win with identical
 probability on every input pair, which is checked here numerically rather
 than assumed.
+
+``verify_equivalence`` makes that check.  Each side is one stack: the
+single system through ``game.evaluate_unitary_stack``, with every density
+checked, and the two-player side through ``evaluate_chsh``.
 """
 
 from __future__ import annotations
@@ -141,8 +145,26 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
 
 
 def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, float]:
-    """Compare the single-system and lifted evaluations input by input."""
-    single = game.evaluate(game.GameSpec(2), s).per_input
-    lifted = evaluate_chsh(lift(s)).per_input
-    max_dev = max(abs(single[k] - lifted[k]) for k in single)
+    """Compare the single-system and lifted evaluations input by input.
+
+    Returns (largest per-input deviation <= tol, that deviation).  A bad
+    strategy raises ``game.evaluate``'s errors first (gates missing for an
+    input, labels that are no answer), then ``lift``'s (not the normal
+    form).  The single-system side is one stack through
+    ``game.evaluate_unitary_stack``, whose values equal ``game.evaluate``'s;
+    every density on it is still checked: the two after A, the four final
+    ones and their outcome sums.
+    """
+    spec = game.GameSpec(2)
+    game._check_inputs(spec, s)
+    cs = lift(s)
+    single = game.evaluate_unitary_stack(
+        spec,
+        s.initial.density,
+        np.concatenate([s.a_gates[a]._stack for a in spec.input_alphabet]),
+        np.stack([s.b_gates[b]._stack for b in spec.input_alphabet]),
+        s.measurement,
+    )
+    lifted = evaluate_chsh(cs).per_input
+    max_dev = max(abs(float(single[k][0]) - lifted[k]) for k in single)
     return max_dev <= tol, max_dev

@@ -27,6 +27,7 @@ negative ``--seed``, is a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -282,13 +283,18 @@ def cmd_value(args) -> tuple[dict, list[str], bool]:
 
 
 def _lemma1_max_deviation(seed: int, n_random: int) -> tuple[float, int]:
-    """Largest lift deviation over the optimal play and n_random seeded random ones."""
+    """Largest lift deviation over the optimal play and n_random seeded random ones.
+
+    Each random play is drawn, verified and dropped before the next is
+    drawn, so memory does not grow with n_random.
+    """
     rng = np.random.default_rng(seed)
-    strategies = [settings.optimal_unitary_strategy()] + [
-        chsh_lift.random_normal_form(rng) for _ in range(n_random)
-    ]
+    strategies = itertools.chain(
+        [settings.optimal_unitary_strategy()],
+        (chsh_lift.random_normal_form(rng) for _ in range(n_random)),
+    )
     max_dev = max(chsh_lift.verify_equivalence(s)[1] for s in strategies)
-    return max_dev, len(strategies)
+    return max_dev, 1 + n_random
 
 
 def cmd_verify_lemma1(args) -> tuple[dict, list[str], bool]:

@@ -17,10 +17,14 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _dagger_stack,
     apply_channel,
+    apply_unitary_stack,
     basis_ket,
+    check_density_stack,
     is_left_stochastic,
     outcome_distribution,
+    outcome_probabilities,
 )
 
 
@@ -88,13 +92,22 @@ def _check_coverage(spec: GameSpec, gates: dict[int, object], stage: str) -> Non
         raise ValueError(f"{stage} gates missing for inputs {sorted(missing)}")
 
 
-def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
-    """Exact win probability for every input pair, averaged uniformly."""
+def _check_inputs(spec: GameSpec, s: Strategy) -> None:
+    """``evaluate``'s checks of a strategy against the game, in its order.
+
+    A and B gates cover the input alphabet, and every measurement label is
+    an answer of the game.
+    """
     _check_coverage(spec, s.a_gates, "A")
     _check_coverage(spec, s.b_gates, "B")
     bad = [c for c in s.measurement.outcome_labels if not 0 <= c < spec.q]
     if bad:
         raise ValueError(f"measurement labels {bad} outside range(0, {spec.q})")
+
+
+def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
+    """Exact win probability for every input pair, averaged uniformly."""
+    _check_inputs(spec, s)
 
     per_input: dict[tuple[int, int], float] = {}
     for a, b in spec.input_pairs():
@@ -104,6 +117,45 @@ def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
         per_input[(a, b)] = dist.get(target, 0.0)
     average = sum(per_input.values()) / len(per_input)
     return EvaluationReport(per_input=per_input, average=average)
+
+
+def evaluate_unitary_stack(
+    spec: GameSpec,
+    initial: np.ndarray,
+    a_stack: np.ndarray,
+    b_stack: np.ndarray,
+    measurement: Measurement,
+) -> dict[tuple[int, int], np.ndarray]:
+    """Exact win probabilities of k unitary plays at once, per input pair.
+
+    ``a_stack`` (q, d, d) holds A_a for a = 0..q-1 and ``b_stack`` (q, k, d, d)
+    holds k choices of B_b; play j starts from the density ``initial``,
+    applies A_a, then ``b_stack[b, j]``, and measures ``measurement``.
+    Returns (a, b) -> the k win probabilities, in ``input_pairs`` order.
+    Every product and trace is the one ``evaluate`` takes, so each value
+    equals ``evaluate``'s for the same play.
+
+    The gates are not checked here; callers pass validated unitaries.  The
+    states are, each check once over its stack: the q densities after A
+    and the q * q * k final densities are Hermitian, of unit trace and
+    positive semidefinite, and every outcome distribution sums to 1.
+    """
+    q, d = spec.q, initial.shape[0]
+    if a_stack.shape != (q, d, d) or b_stack.ndim != 4 or b_stack.shape[0] != q \
+            or b_stack.shape[2:] != (d, d):
+        raise ValueError(f"gate stacks {a_stack.shape}, {b_stack.shape} do not fit q={q}, d={d}")
+    k = b_stack.shape[1]
+    rho_a = apply_unitary_stack(a_stack, initial)
+    # rhos[a, b, j] = B rho_a B^+ with B = b_stack[b, j], as apply_channel
+    # takes it for one Kraus operator.
+    rhos = (b_stack[None] @ rho_a[:, None, None] @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
+    check_density_stack(rhos)
+    probs = outcome_probabilities(measurement, rhos)
+    per_input: dict[tuple[int, int], np.ndarray] = {}
+    for i, (a, b) in enumerate(spec.input_pairs()):
+        p = probs.get(winning_answer(spec, a, b))
+        per_input[(a, b)] = np.zeros(k) if p is None else p[i * k:(i + 1) * k]
+    return per_input
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:

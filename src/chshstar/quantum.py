@@ -126,7 +126,7 @@ def projector(ket: np.ndarray) -> np.ndarray:
 # which, unlike ``np.allclose``, never counts inf or NaN as close.
 
 def _dagger_stack(m: np.ndarray) -> np.ndarray:
-    return m.conj().transpose(0, 2, 1)
+    return m.conj().swapaxes(-1, -2)
 
 
 def _close(a: np.ndarray, b, atol: float) -> bool:

@@ -22,11 +22,8 @@ from .quantum import (
     Channel,
     Measurement,
     State,
-    apply_channel,
-    apply_unitary_stack,
     basis_ket,
     check_unitary_stack,
-    outcome_probabilities,
     pauli_eigenstates,
     phase_canonical,
     plus_ket,
@@ -517,13 +514,14 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
 
     ``p_circuit`` is the exact circuit evaluation of ``rz_pair_strategy(epsilon)``,
     with the same products and traces as ``game.evaluate``, computed for the
-    whole grid in one batch.  Every epsilon is checked before anything is
-    evaluated.  The epsilon-independent parts (|+>, A = (I, S), the X
-    measurement) come from one validated ``rz_pair_strategy``; the B gates
-    rz(epsilon)^+ and rz(epsilon) are stacked over the grid.  The strategy's
-    checks run once per batch on every point: each B gate is unitary, each
-    state is Hermitian, of unit trace and positive semidefinite, and each
-    outcome distribution sums to 1.
+    whole grid in one call of ``game.evaluate_unitary_stack``.  Every
+    epsilon is checked before anything is evaluated.  The
+    epsilon-independent parts (|+>, A = (I, S), the X measurement) come
+    from one validated ``rz_pair_strategy``; the B gates rz(epsilon)^+ and
+    rz(epsilon) are one (2, grid, 2, 2) stack.  The strategy's checks still
+    run on every point, each once over its stack: every B gate is unitary,
+    every state is Hermitian, of unit trace and positive semidefinite, and
+    every outcome distribution sums to 1.
     """
     eps_list = list(eps_grid)
     for eps in eps_list:
@@ -534,16 +532,16 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     spec = game.GameSpec(2)
     strategy = rz_pair_strategy(eps_list[0])
     rz_stack = np.stack([rz(eps) for eps in eps_list])
-    b_stacks = {0: rz_stack.conj().transpose(0, 2, 1), 1: rz_stack}
-    for stack in b_stacks.values():
-        check_unitary_stack(stack)
-    per_input = []
-    for a, b in spec.input_pairs():
-        rho_a = apply_channel(strategy.a_gates[a], strategy.initial).density
-        rhos = apply_unitary_stack(b_stacks[b], rho_a)
-        dist = outcome_probabilities(strategy.measurement, rhos)
-        per_input.append(dist.get(game.winning_answer(spec, a, b), 0.0))
-    p_circuit = (sum(per_input) / len(per_input)).tolist()
+    b_stack = np.stack([rz_stack.conj().transpose(0, 2, 1), rz_stack])
+    check_unitary_stack(b_stack.reshape(-1, 2, 2))
+    per_input = game.evaluate_unitary_stack(
+        spec,
+        strategy.initial.density,
+        np.concatenate([strategy.a_gates[a]._stack for a in spec.input_alphabet]),
+        b_stack,
+        strategy.measurement,
+    )
+    p_circuit = (sum(per_input.values()) / len(per_input)).tolist()
     return [
         (float(eps), float(success_probability_formula(eps)), p)
         for eps, p in zip(eps_list, p_circuit)

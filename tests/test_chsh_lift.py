@@ -5,7 +5,7 @@ import pytest
 
 from chshstar import chsh_lift, game
 from chshstar import quantum as q
-from chshstar.settings import optimal_unitary_strategy
+from chshstar.settings import optimal_unitary_strategy, rz_pair_strategy
 
 TSIRELSON = np.cos(np.pi / 8) ** 2
 
@@ -171,6 +171,73 @@ def test_verify_equivalence_thousand_random_strategies():
 # ---------------------------------------------------------------------------
 
 N_PROPERTY = 500
+
+
+def _verify_through_evaluate(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, float]:
+    """The lemma-1 check on game.evaluate's per-state path, as a reference."""
+    single = game.evaluate(game.GameSpec(2), s).per_input
+    lifted = chsh_lift.evaluate_chsh(chsh_lift.lift(s)).per_input
+    max_dev = max(abs(single[k] - lifted[k]) for k in single)
+    return max_dev <= tol, max_dev
+
+
+def test_verify_equivalence_equals_the_check_through_evaluate():
+    rng = np.random.default_rng(311)
+    strategies = [optimal_unitary_strategy(), _identity_strategy()]
+    strategies += [rz_pair_strategy(eps) for eps in (1e-6, 0.3, np.pi / 4, 1.2, np.pi / 2 - 1e-9)]
+    strategies += [chsh_lift.random_normal_form(rng) for _ in range(300)]
+    for s in strategies:
+        for tol in (1e-10, 1e-16):
+            result = chsh_lift.verify_equivalence(s, tol=tol)
+            assert result == _verify_through_evaluate(s, tol=tol)
+            assert type(result[1]) is float
+
+
+def _bad_strategies():
+    s = optimal_unitary_strategy()
+    qutrit_identity = q.Channel.unitary(q.qudit_gates(3)["I"])
+
+    def qutrit(labels):
+        return game.Strategy(
+            initial=q.State.from_ket(q.plus_ket(3)),
+            a_gates={k: qutrit_identity for k in (0, 1)},
+            b_gates={k: qutrit_identity for k in (0, 1)},
+            measurement=q.Measurement.fourier(3, labels=labels),
+        )
+
+    def replace(**fields):
+        return game.Strategy(**{"initial": s.initial, "a_gates": s.a_gates,
+                                "b_gates": s.b_gates, "measurement": s.measurement, **fields})
+
+    return {
+        "missing B gate": (replace(b_gates={0: s.b_gates[0]}),
+                           "B gates missing for inputs [1]"),
+        "missing A and B gates": (replace(a_gates={}, b_gates={}),
+                                  "A gates missing for inputs [0, 1]"),
+        "labels (0, 2)": (replace(measurement=q.Measurement.pauli("x", labels=(0, 2))),
+                          "measurement labels [2] outside range(0, 2)"),
+        "erasure as B_0": (replace(b_gates={0: q.Channel.erase(), 1: s.b_gates[1]}),
+                           "B_0 is not a single-Kraus unitary channel"),
+        "initial |0>": (replace(initial=q.State.from_ket(q.basis_ket(2, 0))),
+                        "normal form requires the initial state |+>"),
+        "Z measurement": (replace(measurement=q.Measurement.pauli("z")),
+                          "normal form requires the X measurement with labels (+ -> 0, - -> 1)"),
+        "qutrit": (qutrit((0, 1, 1)), "lift requires a qubit strategy, got dimension 3"),
+        "qutrit with label 2": (qutrit((0, 1, 2)), "measurement labels [2] outside range(0, 2)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_strategies()))
+def test_verify_equivalence_raises_the_errors_of_evaluate_then_lift(case):
+    # game.evaluate's checks come first, then lift's normal-form checks.
+    s, message = _bad_strategies()[case]
+    with pytest.raises(ValueError) as reference:
+        _verify_through_evaluate(s)
+    assert str(reference.value) == message
+    with pytest.raises(ValueError) as raised:
+        chsh_lift.verify_equivalence(s)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
 def test_property_transpose_identity_on_bell_pair():

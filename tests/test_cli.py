@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import chshstar
-from chshstar import cli, settings
+from chshstar import chsh_lift, cli, settings
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
@@ -225,6 +227,34 @@ def test_verify_lemma1_seeded_runs_repeat(capsys):
     _, first, _ = run_cli(capsys, "verify-lemma1", "--n-random", "5", "--format", "json")
     _, second, _ = run_cli(capsys, "verify-lemma1", "--n-random", "5", "--format", "json")
     assert first == second
+
+
+def test_lemma1_batch_draws_in_order_and_counts_every_play():
+    # The batch as a list, as it was built before it was streamed.
+    for seed, n_random in ((0, 1), (5, 40), (12345, 7)):
+        rng = np.random.default_rng(seed)
+        strategies = [settings.optimal_unitary_strategy()] + [
+            chsh_lift.random_normal_form(rng) for _ in range(n_random)
+        ]
+        expected = max(chsh_lift.verify_equivalence(s)[1] for s in strategies)
+        assert cli._lemma1_max_deviation(seed, n_random) == (expected, n_random + 1)
+
+
+def test_lemma1_batch_memory_does_not_grow_with_n_random():
+    # A list of plays would hold about 3.5 KB each (1.6 MB more at 500 than
+    # at 50); the streamed batch holds one play at a time.
+    cli._lemma1_max_deviation(0, 500)  # warm numpy's and the interpreter's caches
+
+    def peak(n_random):
+        tracemalloc.start()
+        try:
+            cli._lemma1_max_deviation(3, n_random)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(50), peak(500)
+    assert large - small < 256 * 1024, (small, large)
 
 
 def test_verify_lemma1_fails_below_float_floor(capsys):

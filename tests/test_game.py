@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from chshstar import game
-from chshstar.chsh_lift import random_normal_form
+from chshstar.chsh_lift import normal_form, random_normal_form
 from chshstar import quantum as q
-from chshstar.settings import irreversible_strategy, optimal_unitary_strategy, trivial_strategy
+from chshstar.settings import (
+    irreversible_strategy,
+    optimal_unitary_strategy,
+    qutrit_fixed_strategy,
+    rz_pair_strategy,
+    trivial_strategy,
+)
 
 TSIRELSON = np.cos(np.pi / 8) ** 2
 
@@ -95,6 +101,77 @@ def test_strategy_and_components_compare_and_hash_by_identity():
         assert obj == obj
         assert (obj == equal_twin) is False
         assert {obj: 1}[obj] == 1
+
+
+# ---------------------------------------------------------------------------
+# Stacked unitary kernel
+# ---------------------------------------------------------------------------
+
+def _kernel(spec, s, b_plays=None):
+    """evaluate_unitary_stack on a unitary strategy; ``b_plays`` stacks more B gates."""
+    alphabet = spec.input_alphabet
+    if b_plays is None:
+        b_plays = [[s.b_gates[b].kraus[0] for b in alphabet]]
+    return game.evaluate_unitary_stack(
+        spec,
+        s.initial.density,
+        np.stack([s.a_gates[a].kraus[0] for a in alphabet]),
+        np.stack([[play[b] for play in b_plays] for b in alphabet]),
+        s.measurement,
+    )
+
+
+def test_unitary_stack_kernel_equals_evaluate():
+    rng = np.random.default_rng(204)
+    q2 = game.GameSpec(2)
+    identity = normal_form(q.I2, q.I2, q.I2, q.I2)
+    all_zero = q.Measurement.pauli("x", labels=(0, 0))  # answer 1 has no outcome
+    cases = [(q2, optimal_unitary_strategy()), (q2, identity),
+             (q2, game.Strategy(identity.initial, identity.a_gates, identity.b_gates, all_zero)),
+             (game.GameSpec(3), qutrit_fixed_strategy())]
+    cases += [(q2, rz_pair_strategy(eps)) for eps in (1e-6, 0.3, np.pi / 4, 1.2, np.pi / 2 - 1e-9)]
+    cases += [(q2, random_normal_form(rng)) for _ in range(300)]
+    for spec, s in cases:
+        expected = game.evaluate(spec, s).per_input
+        per_input = _kernel(spec, s)
+        assert list(per_input) == spec.input_pairs()
+        for key, p in per_input.items():
+            assert p.shape == (1,)
+            assert p[0] == expected[key]
+
+
+def test_unitary_stack_kernel_evaluates_each_stacked_play():
+    rng = np.random.default_rng(205)
+    spec = game.GameSpec(2)
+    a0, a1 = q.random_unitary(2, rng), q.random_unitary(2, rng)
+    plays = [[q.random_unitary(2, rng) for _ in range(2)] for _ in range(7)]
+    per_input = _kernel(spec, normal_form(a0, a1, *plays[0]), b_plays=plays)
+    for j, (b0, b1) in enumerate(plays):
+        expected = game.evaluate(spec, normal_form(a0, a1, b0, b1)).per_input
+        for key, p in per_input.items():
+            assert p.shape == (len(plays),)
+            assert p[j] == expected[key]
+
+
+def test_unitary_stack_kernel_checks_every_density():
+    spec, s = game.GameSpec(2), optimal_unitary_strategy()
+    a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])
+    b_stack = np.stack([[s.b_gates[b].kraus[0]] for b in (0, 1)])
+    off = 1 + 1e-9  # the gate no longer preserves the trace
+    for a_gates, b_gates in ((a_stack * [[[1]], [[off]]], b_stack),
+                             (a_stack, b_stack * [[[[1]]], [[[off]]]])):
+        with pytest.raises(ValueError, match="trace"):
+            game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
+
+
+def test_unitary_stack_kernel_rejects_stacks_that_do_not_fit_the_game():
+    spec, s = game.GameSpec(2), optimal_unitary_strategy()
+    a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])
+    b_stack = np.stack([[s.b_gates[b].kraus[0]] for b in (0, 1)])
+    for a_gates, b_gates in ((a_stack[:1], b_stack), (a_stack, b_stack[:, 0]),
+                             (a_stack, b_stack[:1]), (a_stack, np.zeros((2, 1, 3, 3)))):
+        with pytest.raises(ValueError, match="do not fit"):
+            game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
 
 
 # ---------------------------------------------------------------------------
