@@ -16,6 +16,8 @@ checked, and the two-player side through ``evaluate_chsh``.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,10 +64,21 @@ class ChshReport:
     joint_table: dict[tuple[int, int, int, int], float]
 
 
+@functools.cache
+def _plus_state() -> State:
+    """|+><+|, built and validated once; normal forms hold copies sharing its density."""
+    return State.from_ket(plus_ket())
+
+
 def normal_form(a0, a1, b0, b1) -> game.Strategy:
-    """Normal-form strategy: |+>, the unitaries A0, A1, B0, B1, X measurement."""
+    """Normal-form strategy: |+>, the unitaries A0, A1, B0, B1, X measurement.
+
+    The state and the measurement are fixed, so each is validated once and
+    shared read-only (``Measurement.pauli``); only the four gates are
+    checked per call.
+    """
     return game.Strategy(
-        initial=State.from_ket(plus_ket()),
+        initial=copy.copy(_plus_state()),
         a_gates={0: Channel.unitary(a0), 1: Channel.unitary(a1)},
         b_gates={0: Channel.unitary(b0), 1: Channel.unitary(b1)},
         measurement=Measurement.pauli("x"),
@@ -77,6 +90,7 @@ def random_normal_form(rng: np.random.Generator) -> game.Strategy:
     return normal_form(*(random_unitary(2, rng) for _ in range(4)))
 
 
+_BELL_PAIR = bell_pair_ket()
 _X_KETS = np.stack([plus_ket(), minus_ket()])
 _X_PROJECTORS = np.stack([projector(k) for k in _X_KETS])
 # Column 2x + y is the bra <x|<y| of both players' X outcomes, x, y = 0 for
@@ -126,7 +140,7 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
     # u[k] = alice[k] (x) bob[k] with one product per entry, as np.kron
     # takes them (an einsum contraction rounds differently).
     u = (alice[:, :, None, :, None] * bob[:, None, :, None, :]).reshape(len(inputs), 4, 4)
-    amplitudes = (u @ bell_pair_ket()) @ _OUTCOME_BRAS
+    amplitudes = (u @ _BELL_PAIR) @ _OUTCOME_BRAS
     # |amplitude| ** 2 through hypot and float powers, as abs() of a Python
     # complex gives it.
     magnitudes = np.hypot(amplitudes.real, amplitudes.imag).tolist()
@@ -158,11 +172,12 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     spec = game.GameSpec(2)
     game._check_inputs(spec, s)
     cs = lift(s)
+    inputs = spec.input_alphabet
     single = game.evaluate_unitary_stack(
         spec,
         s.initial.density,
-        np.concatenate([s.a_gates[a]._stack for a in spec.input_alphabet]),
-        np.stack([s.b_gates[b]._stack for b in spec.input_alphabet]),
+        np.array([s.a_gates[a].kraus[0] for a in inputs]),
+        np.array([s.b_gates[b]._stack for b in inputs]),
         s.measurement,
     )
     lifted = evaluate_chsh(cs).per_input

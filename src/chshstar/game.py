@@ -131,7 +131,8 @@ def evaluate_unitary_stack(
     ``a_stack`` (q, d, d) holds A_a for a = 0..q-1 and ``b_stack`` (q, k, d, d)
     holds k choices of B_b; play j starts from the density ``initial``,
     applies A_a, then ``b_stack[b, j]``, and measures ``measurement``.
-    Returns (a, b) -> the k win probabilities, in ``input_pairs`` order.
+    Returns (a, b) -> the k win probabilities, in ``input_pairs`` order
+    (empty arrays when k = 0).
     Every product and trace is the one ``evaluate`` takes, so each value
     equals ``evaluate``'s for the same play.
 

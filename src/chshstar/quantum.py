@@ -1,7 +1,15 @@
 """Dense complex linear algebra and quantum primitives for dimensions 2-9.
 
 Everything is a plain numpy array with ``dtype=complex``: kets are 1-D,
-operators and density matrices 2-D.  Phase conventions used throughout:
+operators and density matrices 2-D.  ``State``, ``Channel`` and
+``Measurement`` validate their arrays once, at construction, and keep
+read-only copies.  Fixed objects are built once: the six Pauli kets, the
+identity matrices and, per (axis, labels), the Pauli measurement, which
+``Measurement.pauli`` shares read-only among the instances it returns.
+Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
+and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
+qubit density is read in closed form, larger ones go through ``eigvalsh``.
+Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
   so ``S = rz(pi/2) = diag(1, i)`` and ``T = rz(pi/4)`` exactly.
@@ -14,6 +22,8 @@ operators and density matrices 2-D.  Phase conventions used throughout:
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,20 +78,31 @@ def fourier_ket(d: int, k: int) -> np.ndarray:
     return np.array([w ** (j * k) for j in range(d)], dtype=complex) / np.sqrt(d)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The six Pauli eigenstates, built once; pauli_eigenstates() hands out copies.
+_PAULI_KETS = {
+    name: _read_only(ket) for name, ket in (
+        ("x+", plus_ket()),
+        ("x-", minus_ket()),
+        ("y+", np.array([1, 1j], dtype=complex) / np.sqrt(2)),
+        ("y-", np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+        ("z+", basis_ket(2, 0)),
+        ("z-", basis_ket(2, 1)),
+    )
+}
+
+
 def pauli_eigenstates() -> dict[str, np.ndarray]:
-    """Name -> ket for the six single-qubit Pauli eigenstates.
+    """Name -> a new, writable ket for each of the six single-qubit Pauli eigenstates.
 
     The order x+, x-, y+, y-, z+, z- is the enumeration order of the
     Clifford search.
     """
-    return {
-        "x+": plus_ket(),
-        "x-": minus_ket(),
-        "y+": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-        "y-": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-        "z+": basis_ket(2, 0),
-        "z-": basis_ket(2, 1),
-    }
+    return {name: ket.copy() for name, ket in _PAULI_KETS.items()}
 
 
 def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -117,24 +138,45 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| from a ket."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()  # np.outer's product, without its wrapper
 
 
 # Structural checks.  Each works on a stack of shape (n, d, d) and holds only
 # if it holds for every matrix of the stack; one object is checked as the
 # stack of one, ``m[None]``.  Closeness is ``|a - b| <= atol`` entrywise,
-# which, unlike ``np.allclose``, never counts inf or NaN as close.
+# which, unlike ``np.allclose``, never counts inf or NaN as close.  The
+# stacks are small, so the checks keep numpy calls few: ``_all`` counts
+# instead of reducing, and tolerances are compared as float64 scalars.
 
 def _dagger_stack(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _traces(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of every matrix of a stack (the last two axes).
+
+    The diagonal's sum, as ``np.trace`` takes it, at a fraction of its call cost.
+    """
+    return m.diagonal(0, -2, -1).sum(-1).real
+
+
+def _all(ok: np.ndarray) -> bool:
+    """``ok.all()`` for a boolean array, as a count (a fraction of a reduction's call cost)."""
+    return np.count_nonzero(ok) == ok.size
+
+
 def _close(a: np.ndarray, b, atol: float) -> bool:
-    return bool((np.abs(a - b) <= atol).all())
+    return _all(np.abs(a - b) <= np.float64(atol))
+
+
+@functools.cache
+def _eye(d: int, dtype=complex) -> np.ndarray:
+    """Read-only identity of dimension d, built once per d and dtype."""
+    return _read_only(np.eye(d, dtype=dtype))
 
 
 def _all_unitary(us: np.ndarray) -> bool:
-    return _close(_dagger_stack(us) @ us, np.eye(us.shape[-1]), ATOL_STRUCT)
+    return _close(_dagger_stack(us) @ us, _eye(us.shape[-1]), ATOL_STRUCT)
 
 
 def check_unitary_stack(us: np.ndarray) -> None:
@@ -144,14 +186,25 @@ def check_unitary_stack(us: np.ndarray) -> None:
 
 
 def check_density_stack(rhos: np.ndarray) -> None:
-    """Raise unless every matrix of the stack is Hermitian, of unit trace and PSD."""
+    """Raise unless every matrix of the stack is Hermitian, of unit trace and PSD.
+
+    PSD means a smallest eigenvalue of at least ``-ATOL_STRUCT``.  For
+    qubits it is read in closed form, tr/2 - hypot((a - b)/2, |rho_10|) with
+    a, b the real diagonal (the lower triangle, as ``eigvalsh`` reads the
+    matrix); larger matrices go through ``eigvalsh``.  An empty stack passes.
+    """
     if not _close(rhos, _dagger_stack(rhos), ATOL_PROB):
         raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rhos, axis1=1, axis2=2).real
-    ok = np.abs(tr - 1.0) <= ATOL_PROB
-    if not ok.all():
+    tr = _traces(rhos)
+    ok = np.abs(tr - 1.0) <= np.float64(ATOL_PROB)
+    if not _all(ok):
         raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
-    if np.linalg.eigvalsh(rhos).min() < -ATOL_STRUCT:
+    if rhos.shape[-1] == 2:
+        # tr is a + b exactly: the trace of a 2x2 matrix is one addition.
+        lam = tr / 2 - np.hypot((rhos[:, 0, 0] - rhos[:, 1, 1]).real / 2, np.abs(rhos[:, 1, 0]))
+    else:
+        lam = np.linalg.eigvalsh(rhos)[:, 0]
+    if np.count_nonzero(lam < np.float64(-ATOL_STRUCT)):
         raise ValueError("density matrix is not positive semidefinite")
 
 
@@ -237,9 +290,8 @@ class Channel:
             raise ValueError("all Kraus operators must share one shape")
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
-        ks = np.stack(ops)
-        ks.flags.writeable = False
-        if not _close((_dagger_stack(ks) @ ks).sum(axis=0), np.eye(shape[0]), ATOL_STRUCT):
+        ks = _read_only(np.array(ops))
+        if not _close((_dagger_stack(ks) @ ks).sum(axis=0), _eye(shape[0]), ATOL_STRUCT):
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
         object.__setattr__(self, "kraus", tuple(ks))
         object.__setattr__(self, "_stack", ks)
@@ -345,17 +397,16 @@ class Measurement:
         d = projs[0].shape[0]
         if any(p.shape != (d, d) for p in projs):
             raise ValueError("all projectors must share one dimension")
-        ps = np.stack(projs)
-        ps.flags.writeable = False
+        ps = _read_only(np.array(projs))
         if not _close(ps, _dagger_stack(ps), ATOL_STRUCT):
             raise ValueError("projector is not Hermitian")
         products = ps[:, None] @ ps[None]  # products[i, j] = P_i P_j
-        same = np.eye(len(ps), dtype=bool)
+        same = _eye(len(ps), bool)
         if not _close(products[same], ps, ATOL_STRUCT):
             raise ValueError("projector is not idempotent")
         if not _close(products[~same], 0.0, ATOL_STRUCT):
             raise ValueError("projectors are not pairwise orthogonal")
-        if not _close(ps.sum(axis=0), np.eye(d), ATOL_STRUCT):
+        if not _close(ps.sum(axis=0), _eye(d), ATOL_STRUCT):
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", tuple(ps))
         object.__setattr__(self, "outcome_labels", tuple(int(c) for c in self.outcome_labels))
@@ -370,12 +421,24 @@ class Measurement:
 
     @classmethod
     def pauli(cls, axis: str, labels=(0, 1)) -> "Measurement":
-        """X/Y/Z measurement; the + eigenstate carries ``labels[0]``."""
-        states = pauli_eigenstates()
+        """X/Y/Z measurement; the + eigenstate carries ``labels[0]``.
+
+        Each (axis, labels) is built and validated once, on first use.
+        Every call returns a new instance that shares that one's read-only
+        projector stack, so instances still compare by identity.
+        """
         axis = axis.lower()
         if axis not in ("x", "y", "z"):
             raise ValueError(f"unknown Pauli axis {axis!r}")
-        return cls.from_basis([states[axis + "+"], states[axis + "-"]], labels)
+        kets = [_PAULI_KETS[axis + "+"], _PAULI_KETS[axis + "-"]]
+        labels = tuple(range(2) if labels is None else labels)  # None: from_basis's default
+        try:
+            validated = _PAULI_MEASUREMENTS.get((cls, axis, labels))
+        except TypeError:  # unhashable labels: built, and judged, by the constructor
+            return cls.from_basis(kets, labels)
+        if validated is None:
+            validated = _PAULI_MEASUREMENTS[cls, axis, labels] = cls.from_basis(kets, labels)
+        return copy.copy(validated)
 
     @classmethod
     def computational(cls, d: int, labels=None) -> "Measurement":
@@ -404,6 +467,10 @@ class Measurement:
         return self.projectors[0].shape[0]
 
 
+# (class, axis, labels) -> the validated Pauli measurement that Measurement.pauli shares.
+_PAULI_MEASUREMENTS: dict[tuple, Measurement] = {}
+
+
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
     """Label -> probabilities over a stack of densities, outcomes sharing a label summed.
 
@@ -411,13 +478,13 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     measurement's projector stack with the density stack.  One check runs,
     once per density: the probabilities sum to 1.
     """
-    traces = np.trace(m._stack @ rhos[:, None], axis1=2, axis2=3).real
+    traces = _traces(m._stack @ rhos[:, None])
     agg: dict[int, np.ndarray] = {}
     for i, label in enumerate(m.outcome_labels):
         agg[label] = agg.get(label, 0.0) + traces[:, i]
     total = sum(agg.values())
-    ok = np.abs(total - 1.0) <= ATOL_STRUCT
-    if not ok.all():
+    ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)
+    if not _all(ok):
         raise ValueError(f"outcome probabilities sum to {total[~ok][0]}, expected 1")
     return agg
 

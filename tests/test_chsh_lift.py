@@ -144,6 +144,16 @@ def test_lift_rejects_non_normal_form():
         )
 
 
+def test_normal_forms_share_one_validated_plus_state():
+    first = chsh_lift.normal_form(q.I2, q.I2, q.I2, q.I2)
+    second = chsh_lift.random_normal_form(np.random.default_rng(3))
+    assert first.initial is not second.initial
+    assert first.initial.density is second.initial.density
+    assert np.array_equal(first.initial.density, q.projector(q.plus_ket()))
+    with pytest.raises(ValueError, match="read-only"):
+        first.initial.density[0, 1] = 0.0
+
+
 def test_verify_equivalence_optimal():
     ok, dev = chsh_lift.verify_equivalence(optimal_unitary_strategy(), tol=1e-12)
     assert ok

@@ -174,6 +174,16 @@ def test_unitary_stack_kernel_rejects_stacks_that_do_not_fit_the_game():
             game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
 
 
+def test_unitary_stack_kernel_with_no_plays_returns_empty_arrays():
+    for spec, s in ((game.GameSpec(2), optimal_unitary_strategy()),
+                    (game.GameSpec(3), qutrit_fixed_strategy())):
+        a_stack = np.stack([s.a_gates[a].kraus[0] for a in spec.input_alphabet])
+        no_plays = np.zeros((spec.q, 0, s.dim, s.dim), dtype=complex)
+        per_input = game.evaluate_unitary_stack(spec, s.initial.density, a_stack, no_plays, s.measurement)
+        assert list(per_input) == spec.input_pairs()
+        assert all(p.shape == (0,) for p in per_input.values())
+
+
 # ---------------------------------------------------------------------------
 # Classical evaluation
 # ---------------------------------------------------------------------------

@@ -144,6 +144,167 @@ def test_stack_evaluation_matches_per_state_path_exactly():
             assert [(label, probs[label][k]) for label in sorted(probs)] == dist
 
 
+# ---------------------------------------------------------------------------
+# Density checks: closed form for qubits, eigvalsh for larger dimensions
+# ---------------------------------------------------------------------------
+
+def _densities_near_the_psd_bound(rng, n):
+    """n Hermitian unit-trace 2x2 matrices with smallest eigenvalue within 1e-9 of -ATOL_STRUCT."""
+    rhos = []
+    for low in -q.ATOL_STRUCT + rng.uniform(-1e-9, 1e-9, size=n):
+        v = q.random_unitary(2, rng)
+        rho = v @ np.diag([low, 1.0 - low]) @ v.conj().T
+        rhos.append((rho + rho.conj().T) / 2)
+    return np.stack(rhos)
+
+
+def _rejected_as_not_psd(rhos) -> bool:
+    try:
+        q.check_density_stack(rhos)
+    except ValueError as exc:
+        assert str(exc) == "density matrix is not positive semidefinite"
+        return True
+    return False
+
+
+def test_qubit_psd_test_decides_as_eigvalsh_at_the_bound():
+    rhos = _densities_near_the_psd_bound(np.random.default_rng(2024), 2000)
+    expected = np.linalg.eigvalsh(rhos).min(axis=1) < -q.ATOL_STRUCT
+    assert 0 < expected.sum() < len(rhos)  # both sides of the bound are reached
+    assert [_rejected_as_not_psd(rho[None]) for rho in rhos] == expected.tolist()
+    assert _rejected_as_not_psd(rhos)
+    assert not _rejected_as_not_psd(rhos[~expected])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_check_messages(d):
+    pure = np.zeros((d, d), dtype=complex)
+    pure[0, 0] = 1.0
+    not_hermitian = pure.copy()
+    not_hermitian[0, 1] = 1.0
+    negative = np.diag([1.5, -0.5] + [0.0] * (d - 2)).astype(complex)
+    for bad, message in [(not_hermitian, "density matrix is not Hermitian"),
+                         (0.7 * np.eye(d, dtype=complex), f"density matrix trace is {0.7 * d}, expected 1"),
+                         (negative, "density matrix is not positive semidefinite")]:
+        with pytest.raises(ValueError) as exc:
+            q.check_density_stack(np.stack([pure, bad]))
+        assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_checks_reject_every_non_finite_entry(d):
+    valid = np.eye(d, dtype=complex) / d
+    for i in range(d):
+        for j in range(d):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+                for symmetric in (False, True):
+                    rho = valid.copy()
+                    rho[i, j] = bad
+                    if symmetric:
+                        rho[j, i] = bad
+                    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+                        q.check_density_stack(np.stack([valid, rho]))
+
+
+def test_only_larger_densities_go_through_eigvalsh(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    q.check_density_stack(np.stack([q.projector(k) for k in q.pauli_eigenstates().values()]))
+    q.State.from_ket(q.plus_ket())
+    assert shapes == []
+    q.check_density_stack(np.stack([q.projector(q.fourier_ket(3, k)) for k in range(3)]))
+    with pytest.raises(ValueError, match="positive"):
+        q.State(np.diag([1.2, 0.0, -0.2]).astype(complex))
+    assert shapes == [(3, 3, 3), (1, 3, 3)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_empty_stacks_pass_every_check(d):
+    # A stack check holds if it holds for every matrix, so it holds for none.
+    empty = np.zeros((0, d, d), dtype=complex)
+    q.check_density_stack(empty)
+    q.check_unitary_stack(empty)
+    assert q.apply_unitary_stack(empty, np.eye(d, dtype=complex) / d).shape == (0, d, d)
+    probs = q.outcome_probabilities(q.Measurement.computational(d), empty)
+    assert sorted(probs) == list(range(d))
+    assert all(p.shape == (0,) for p in probs.values())
+
+
+# ---------------------------------------------------------------------------
+# Pauli measurements: validated once, shared read-only
+# ---------------------------------------------------------------------------
+
+PAULI_LABELS = [(0, 1), (1, 0), (0, 0), (1, 1), (0, 2), [1, 0]]
+
+
+def test_pauli_measurements_equal_their_basis_construction():
+    kets = q.pauli_eigenstates()
+    for axis in ("x", "y", "z", "X", "Y", "Z"):
+        basis = [kets[axis.lower() + "+"], kets[axis.lower() + "-"]]
+        cases = [(q.Measurement.pauli(axis), q.Measurement.from_basis(basis, (0, 1))),
+                 (q.Measurement.pauli(axis, None), q.Measurement.from_basis(basis))]
+        cases += [(q.Measurement.pauli(axis, labels), q.Measurement.from_basis(basis, labels))
+                  for labels in PAULI_LABELS]
+        for m, ref in cases:
+            assert m.outcome_labels == ref.outcome_labels
+            assert m._stack.tobytes() == ref._stack.tobytes()
+            assert [p.tobytes() for p in m.projectors] == [p.tobytes() for p in ref.projectors]
+
+
+def test_pauli_instances_are_distinct_and_share_one_read_only_stack():
+    first, second = q.Measurement.pauli("y", (1, 0)), q.Measurement.pauli("y", (1, 0))
+    assert first is not second and first != second
+    assert first._stack is second._stack
+    assert first.projectors is second.projectors
+    assert not first._stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first._stack[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        second.projectors[1][1, 1] = 0.0
+
+
+def test_writes_to_pauli_eigenstates_cannot_reach_pauli_measurements(monkeypatch):
+    monkeypatch.setattr(q, "_PAULI_MEASUREMENTS", {})  # the next pauli() builds afresh
+    expected = q.Measurement.from_basis([q.plus_ket(), q.minus_ket()])._stack.copy()
+    kets = q.pauli_eigenstates()
+    for ket in kets.values():
+        ket[:] = [1.0, 0.0]
+    assert np.array_equal(q.Measurement.pauli("x")._stack, expected)
+    assert np.array_equal(q.pauli_eigenstates()["x-"], q.minus_ket())
+    assert q.pauli_eigenstates()["x+"] is not q.pauli_eigenstates()["x+"]
+
+
+def test_pauli_validates_each_axis_and_labels_once(monkeypatch):
+    monkeypatch.setattr(q, "_PAULI_MEASUREMENTS", {})
+    runs = []
+    post_init = q.Measurement.__post_init__
+
+    def counting(self):
+        runs.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(q.Measurement, "__post_init__", counting)
+    measurements = [q.Measurement.pauli("x") for _ in range(10)]
+    assert len(runs) == 1
+    assert len({id(m) for m in measurements}) == 10
+
+
+def test_pauli_rejects_bad_input_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^unknown Pauli axis 'w'$"):
+            q.Measurement.pauli("w")
+        with pytest.raises(ValueError, match="^one label per projector is required$"):
+            q.Measurement.pauli("x", (0,))
+        q.Measurement.pauli("x")
+
+
 def test_measurement_invariants_rejected():
     p_plus = q.projector(q.plus_ket())
     with pytest.raises(ValueError, match="orthogonal"):
