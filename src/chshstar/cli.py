@@ -422,6 +422,8 @@ def cmd_q3(args) -> tuple[dict, list[str], bool]:
 
 
 def cmd_reproduce_all(args) -> tuple[dict, list[str], bool]:
+    if args.n_random < 1:
+        raise ValueError("--n-random must be >= 1")
     config = settings.OptimizerConfig(seed=args.seed)
     checks: list[dict] = []
 

@@ -210,6 +210,9 @@ def value_clifford() -> ValueResult:
     half-wins: a Pauli measurement gives an eigenstate on its axis that
     state's label (2 or 0) and one off its axis either label at probability
     1/2 (1), so every examined average, and the maximum, is exactly k/8.
+    The search scores each class (A_0(s0), A_1(s0)) of A images once, 36
+    classes x 576 B tuples x 6 readouts, and ``strategies_examined`` still
+    counts every strategy covered: 11,943,936.
     """
     cliffords = clifford_group_d2()
     eigenstates = pauli_eigenstates()
@@ -253,43 +256,55 @@ def value_clifford() -> ValueResult:
 # Function-table search (Clifford and classical settings)
 # ---------------------------------------------------------------------------
 
-def _score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b):
-    """Score every function-table strategy, one initial symbol at a time.
+def _class_scores(d, inputs, weights, b_pool, n_a, n_b):
+    """Score every function-table strategy by the symbols its A gates reach.
 
-    From one of ``d`` symbols, A_a then B_b apply function tables from
-    ``a_pool`` (n_a slots) and ``b_pool`` (n_b slots); readout r of the final
-    symbol scores ``weights[i, symbol, r]`` on input pair ``inputs[i]``.
-    Yields per initial symbol the ``uint8`` scores indexed by the A pool
-    index of each slot, then the B pool index of each slot, then r.
+    From one of ``d`` symbols, A_a then B_b apply function tables (n_a A
+    slots, n_b B slots from ``b_pool``); readout r of the final symbol scores
+    ``weights[i, symbol, r]`` on input pair ``inputs[i]``.  A strategy's
+    score depends on its initial symbol s0 and its A gates only through their
+    images u_a = A_a(s0), so one table covers them all: it is indexed by
+    u_0, ..., u_{n_a-1}, then the B pool index of each slot, then r.
     """
-    a_tabs = np.array(a_pool)[list(itertools.product(range(len(a_pool)), repeat=n_a))]
     b_tabs = np.array(b_pool)[list(itertools.product(range(len(b_pool)), repeat=n_b))]
-    # by_symbol[i][u, B tuple, r]: score on input i when A_a leaves symbol u.
-    by_symbol = [weights[i][b_tabs[:, b, :].T] for i, (_, b) in enumerate(inputs)]
-    for s0 in range(d):
-        # A score sums one weight per input pair, at most 9 wins (q = 3) or
-        # 8 half-wins (Clifford), so uint8 cannot wrap.
-        block = np.zeros((len(a_tabs), len(b_tabs), weights.shape[2]), dtype=np.uint8)
-        for i, (a, _) in enumerate(inputs):
-            block += by_symbol[i][a_tabs[:, a, s0]]
-        yield block.reshape((len(a_pool),) * n_a + (len(b_pool),) * n_b + block.shape[2:])
+    n_r = weights.shape[2]
+    # A score sums one weight per input pair, at most 9 wins (q = 3) or
+    # 8 half-wins (Clifford), so uint8 cannot wrap.
+    scores = np.zeros((d,) * n_a + (len(b_tabs), n_r), dtype=np.uint8)
+    for i, (a, b) in enumerate(inputs):
+        # weights[i][B_b(u), r] over (u, B tuple, r), broadcast along u_a.
+        shape = [1] * n_a + [len(b_tabs), n_r]
+        shape[a] = d
+        scores += weights[i][b_tabs[:, b, :].T].reshape(shape)
+    return scores.reshape((d,) * n_a + (len(b_pool),) * n_b + (n_r,))
 
 
 def _search_tables(d, inputs, weights, a_pool, b_pool, n_a, n_b):
-    """Exhaustive search over ``_score_blocks``; the first-found maximum wins.
+    """Exhaustive search over ``_class_scores``; the first-found maximum wins.
 
-    In the lexicographic order (initial symbol, A gates, B gates, readout),
-    ``np.argmax`` finds a block's first maximum and a later block wins only
-    when strictly higher.  Returns (score, (initial symbol, A pool indices,
-    B pool indices, readout index), count).
+    Each (initial symbol, A tuple) reads the row of its class of A images,
+    and that row is its row of the full score array over (initial symbol,
+    A gates, B gates, readout).  In that lexicographic order the first
+    maximum is found: the first (s0, A tuple) whose class reaches the
+    overall maximum, so a later initial symbol wins only when strictly
+    higher, then the first (B gates, readout) maximum of its row.  Returns
+    (score, (initial symbol, A pool indices, B pool indices, readout index),
+    count); the count is every strategy covered, d x |A tuples| x |B tuples|
+    x readouts, although each class is scored once.
     """
-    best = None
-    for s0, block in enumerate(_score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b)):
-        k = np.unravel_index(int(np.argmax(block)), block.shape)
-        if best is None or block[k] > best[0]:
-            best = (int(block[k]), s0, tuple(int(i) for i in k))
-    score, s0, k = best
-    return score, (s0, k[:n_a], k[n_a:n_a + n_b], k[-1]), d * block.size
+    scores = _class_scores(d, inputs, weights, b_pool, n_a, n_b)
+    rows = scores.reshape(d ** n_a, -1)
+    a_tabs = np.array(a_pool)[list(itertools.product(range(len(a_pool)), repeat=n_a))]
+    # classes[s0, A tuple]: the row of (A_0(s0), ..., A_{n_a-1}(s0)).
+    classes = np.ravel_multi_index(tuple(a_tabs.transpose(1, 2, 0)), (d,) * n_a)
+    reached = rows.max(axis=1)[classes]
+    s0, a = (int(k) for k in np.unravel_index(int(np.argmax(reached)), reached.shape))
+    row = rows[classes[s0, a]]
+    k = int(np.argmax(row))
+    ia = np.unravel_index(a, (len(a_pool),) * n_a)
+    *ib, r = np.unravel_index(k, scores.shape[n_a:])
+    count = d * len(a_tabs) * row.size
+    return int(row[k]), (s0, tuple(int(i) for i in ia), tuple(int(i) for i in ib), int(r)), count
 
 
 def _search_classical(d, q, a_pool, b_pool, readouts, n_a, n_b):

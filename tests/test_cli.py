@@ -394,6 +394,17 @@ def test_reproduce_all(capsys, schema):
             "classical_irreversible", "classical_reversible_d3"} <= names
 
 
+def test_reproduce_all_rejects_n_random_below_one(capsys, monkeypatch):
+    # Without any random play the lemma-1 row checked only the optimal one
+    # and the command still reported all_ok.  The flag is checked before
+    # anything is computed.
+    monkeypatch.setattr(settings, "value_unitary", lambda config: pytest.fail("computed"))
+    for n_random in ("0", "-3"):
+        rc, out, err = run_cli(capsys, "reproduce-all", "--n-random", n_random, "--format", "json")
+        assert_usage_error(rc, out, err)
+        assert err == "error: --n-random must be >= 1\n"
+
+
 def test_reproduce_all_warns_when_not_converged(capsys, monkeypatch):
     value_unitary = settings.value_unitary
     monkeypatch.setattr(settings, "value_unitary",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,9 @@ def _float_clifford_enumeration():
 def test_clifford_search_matches_the_float_enumeration(monkeypatch):
     # Every one of the 11,943,936 table-search scores (half-wins) equals the
     # float enumeration's average in eighths, and so do the value, the
-    # first-found witness and the count.
+    # first-found witness and the count.  The search scores each class
+    # (A_0(s0), A_1(s0)) once; expanding the class table by every initial
+    # eigenstate's A images gives the score of every strategy.
     calls = []
     search = settings._search_tables
 
@@ -113,7 +116,12 @@ def test_clifford_search_matches_the_float_enumeration(monkeypatch):
     result = settings.value_clifford()
     (args,) = calls
     eighths, best, (si, axis, labeling, gates), examined = _float_clifford_enumeration()
-    assert np.array_equal(np.stack(list(settings._score_blocks(*args))), eighths)
+    d, inputs, weights, a_pool, b_pool, n_a, n_b = args
+    scores = settings._class_scores(d, inputs, weights, b_pool, n_a, n_b)
+    images = np.array(a_pool)  # images[g, s0]: where Clifford g sends eigenstate s0
+    expanded = np.stack([scores[images[:, None, s0], images[None, :, s0]] for s0 in range(d)])
+    assert expanded.shape == eighths.shape == (6, 24, 24, 24, 24, 6)
+    assert np.array_equal(expanded, eighths)
     assert result.value == best / 8 == 0.75
     assert result.strategies_examined == examined == 11943936
     witness, cliffords = result.witness, settings.clifford_group_d2()
@@ -125,6 +133,20 @@ def test_clifford_search_matches_the_float_enumeration(monkeypatch):
     assert witness.measurement.outcome_labels == labeling
     for p, ref in zip(witness.measurement.projectors, q.Measurement.pauli(axis).projectors):
         assert np.array_equal(p, ref)
+
+
+def test_value_clifford_peak_memory_stays_small():
+    # The full-block search held a 331,776 x 6 uint8 block per initial
+    # eigenstate and its index arrays (a 6.0 MB peak); the class table has
+    # 36 x 576 x 6 entries.
+    settings.value_clifford()  # warm numpy's and the interpreter's caches
+    tracemalloc.start()
+    try:
+        settings.value_clifford()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
 
 
 def test_clifford_search_rejects_overlaps_off_the_grid(monkeypatch):
@@ -521,6 +543,71 @@ def test_classical_searches_match_the_nested_loop_reference(monkeypatch):
     for args, (wins, witness, examined) in calls:
         assert (wins, witness, examined) == _nested_loop_search(*args)
         assert type(wins) is int and type(examined) is int
+
+
+def _score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b):
+    """Reference: the score of every strategy, one full block per initial symbol.
+
+    Each block is indexed by the A pool index of each slot, then the B pool
+    index of each slot, then the readout, as the search held it before
+    class tables.
+    """
+    a_tabs = np.array(a_pool)[list(itertools.product(range(len(a_pool)), repeat=n_a))]
+    b_tabs = np.array(b_pool)[list(itertools.product(range(len(b_pool)), repeat=n_b))]
+    by_symbol = [weights[i][b_tabs[:, b, :].T] for i, (_, b) in enumerate(inputs)]
+    for s0 in range(d):
+        block = np.zeros((len(a_tabs), len(b_tabs), weights.shape[2]), dtype=np.uint8)
+        for i, (a, _) in enumerate(inputs):
+            block += by_symbol[i][a_tabs[:, a, s0]]
+        yield block.reshape((len(a_pool),) * n_a + (len(b_pool),) * n_b + block.shape[2:])
+
+
+def _full_block_search(d, inputs, weights, a_pool, b_pool, n_a, n_b):
+    """Reference: ``np.argmax`` per block; a later block wins only when strictly higher."""
+    best = None
+    for s0, block in enumerate(_score_blocks(d, inputs, weights, a_pool, b_pool, n_a, n_b)):
+        k = np.unravel_index(int(np.argmax(block)), block.shape)
+        if best is None or block[k] > best[0]:
+            best = (int(block[k]), s0, tuple(int(i) for i in k))
+    score, s0, k = best
+    return score, (s0, k[:n_a], k[n_a:n_a + n_b], k[-1]), d * block.size
+
+
+def _random_pool(rng, d):
+    """One to three tables on d symbols: constant, permutation or any map, maybe one repeated."""
+    pool = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.integers(3)
+        if kind == 0:
+            table = [int(rng.integers(d))] * d
+        elif kind == 1:
+            table = rng.permutation(d).tolist()
+        else:
+            table = rng.integers(d, size=d).tolist()
+        pool.append(tuple(table))
+    if rng.random() < 0.5:
+        pool.insert(int(rng.integers(len(pool) + 1)), pool[int(rng.integers(len(pool)))])
+    return pool
+
+
+def test_search_tables_matches_the_full_block_search():
+    # Small weights make ties common, so the first-found witness is tested,
+    # not only the score: a later initial symbol, A tuple or (B tuple,
+    # readout) may win only when strictly higher.
+    rng = np.random.default_rng(20260)
+    ties_across_initial_symbols = 0
+    for _ in range(320):
+        d, q_mod = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        inputs = game.GameSpec(q_mod).input_pairs()
+        n_readouts = int(rng.integers(1, 4))
+        weights = rng.integers(3, size=(len(inputs), d, n_readouts)).astype(np.uint8)
+        args = (d, inputs, weights, _random_pool(rng, d), _random_pool(rng, d), q_mod, q_mod)
+        expected = _full_block_search(*args)
+        result = settings._search_tables(*args)
+        assert repr(result) == repr(expected), args
+        block_maxima = [int(block.max()) for block in _score_blocks(*args)]
+        ties_across_initial_symbols += block_maxima.count(expected[0]) > 1
+    assert ties_across_initial_symbols > 100
 
 
 def test_value_classical_q3_rejects_unknown_family():

@@ -65,6 +65,7 @@ COMMANDS = [
     ({}, ["verify-lemma1", "--n-random", "5", "--tol", "1e-16", "--output", OUT]),
     # Usage errors.
     ({}, ["verify-lemma1", "--n-random", "0"]),
+    ({}, ["reproduce-all", "--n-random", "0"]),
     ({}, ["verify-lemma1", "--n-random", "3", "--tol", "nan"]),
     ({}, ["verify-lemma1", "--n-random", "3", "--tol=-1e-10"]),
     ({}, ["sweep-epsilon", "--steps", "1"]),
