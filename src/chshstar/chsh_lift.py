@@ -127,19 +127,20 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
 
     All input pairs are computed as one stack: the Kronecker products
     A_a (x) B_b, applied to the Bell pair, projected on the four outcome
-    kets.  Checks, each once: every local gate is 2x2, and the joint table
-    of every input pair sums to 1.
+    kets.  Checks, each once: every local gate is 2x2 (each distinct gate
+    is checked and stacked once), and the joint table of every input pair
+    sums to 1.
     """
-    inputs = list(itertools.product(sorted(cs.alice_gates), sorted(cs.bob_gates)))
-    alice = [cs.alice_gates[a] for a, _ in inputs]
-    bob = [cs.bob_gates[b] for _, b in inputs]
-    if any(np.shape(g) != (2, 2) for g in alice + bob):
+    a_keys, b_keys = sorted(cs.alice_gates), sorted(cs.bob_gates)
+    gates = [cs.alice_gates[a] for a in a_keys] + [cs.bob_gates[b] for b in b_keys]
+    if any(np.shape(g) != (2, 2) for g in gates):
         raise ValueError("local gates must be 2x2")
-    alice = np.array(alice, dtype=complex).reshape(-1, 2, 2)
-    bob = np.array(bob, dtype=complex).reshape(-1, 2, 2)
-    # u[k] = alice[k] (x) bob[k] with one product per entry, as np.kron
+    gates = np.array(gates, dtype=complex).reshape(-1, 2, 2)
+    alice, bob = gates[:len(a_keys)], gates[len(a_keys):]
+    inputs = list(itertools.product(a_keys, b_keys))
+    # u[a, b] = alice[a] (x) bob[b] with one product per entry, as np.kron
     # takes them (an einsum contraction rounds differently).
-    u = (alice[:, :, None, :, None] * bob[:, None, :, None, :]).reshape(len(inputs), 4, 4)
+    u = (alice[:, None, :, None, :, None] * bob[None, :, None, :, None, :]).reshape(len(inputs), 4, 4)
     amplitudes = (u @ _BELL_PAIR) @ _OUTCOME_BRAS
     # |amplitude| ** 2 through hypot and float powers, as abs() of a Python
     # complex gives it.
@@ -166,8 +167,8 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     input, labels that are no answer), then ``lift``'s (not the normal
     form).  The single-system side is one stack through
     ``game.evaluate_unitary_stack``, whose values equal ``game.evaluate``'s;
-    every density on it is still checked: the two after A, the four final
-    ones and their outcome sums.
+    every density on it is still checked, in one stack check of the two
+    after A and the four final ones, and so are their outcome sums.
     """
     spec = game.GameSpec(2)
     game._check_inputs(spec, s)

@@ -19,7 +19,6 @@ from .quantum import (
     State,
     _dagger_stack,
     apply_channel,
-    apply_unitary_stack,
     basis_ket,
     check_density_stack,
     is_left_stochastic,
@@ -137,20 +136,21 @@ def evaluate_unitary_stack(
     equals ``evaluate``'s for the same play.
 
     The gates are not checked here; callers pass validated unitaries.  The
-    states are, each check once over its stack: the q densities after A
-    and the q * q * k final densities are Hermitian, of unit trace and
-    positive semidefinite, and every outcome distribution sums to 1.
+    states are, each check once: the q densities after A and the q * q * k
+    final densities, as one stack with the A-stage ones first, are
+    Hermitian, of unit trace and positive semidefinite, and every outcome
+    distribution sums to 1.
     """
     q, d = spec.q, initial.shape[0]
     if a_stack.shape != (q, d, d) or b_stack.ndim != 4 or b_stack.shape[0] != q \
             or b_stack.shape[2:] != (d, d):
         raise ValueError(f"gate stacks {a_stack.shape}, {b_stack.shape} do not fit q={q}, d={d}")
     k = b_stack.shape[1]
-    rho_a = apply_unitary_stack(a_stack, initial)
-    # rhos[a, b, j] = B rho_a B^+ with B = b_stack[b, j], as apply_channel
-    # takes it for one Kraus operator.
+    # Each density is U rho U^+, as apply_channel takes it for one Kraus
+    # operator: rho_a[a] with U = A_a, then rhos[a, b, j] with U = b_stack[b, j].
+    rho_a = a_stack @ initial @ _dagger_stack(a_stack)
     rhos = (b_stack[None] @ rho_a[:, None, None] @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
-    check_density_stack(rhos)
+    check_density_stack(np.concatenate((rho_a, rhos)))
     probs = outcome_probabilities(measurement, rhos)
     per_input: dict[tuple[int, int], np.ndarray] = {}
     for i, (a, b) in enumerate(spec.input_pairs()):

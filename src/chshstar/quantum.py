@@ -42,9 +42,18 @@ S = np.array([[1, 0], [0, 1j]], dtype=complex)
 T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
 
 
-def rz(theta: float) -> np.ndarray:
-    """Z rotation ``diag(1, e^{i theta})`` (global phase normalized away), in float64."""
-    return np.array([[1, 0], [0, np.exp(1j * float(theta))]], dtype=complex)
+def rz(theta) -> np.ndarray:
+    """Z rotation ``diag(1, e^{i theta})`` (global phase normalized away), in float64.
+
+    ``theta`` is an angle or an array of angles; an array of shape s gives
+    the stack of shape s + (2, 2), each gate equal to its scalar call.  The
+    angles are made float64 first, since ``1j *`` a float32 stays complex64.
+    """
+    theta = np.asarray(theta, dtype=float)
+    g = np.zeros(theta.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = 1
+    g[..., 1, 1] = np.exp(1j * theta)
+    return g
 
 
 def ry(theta: float) -> np.ndarray:
@@ -291,7 +300,8 @@ class Channel:
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
         ks = _read_only(np.array(ops))
-        if not _close((_dagger_stack(ks) @ ks).sum(axis=0), _eye(shape[0]), ATOL_STRUCT):
+        grams = _dagger_stack(ks) @ ks  # one operator's K^+ K is its own sum
+        if not _close(grams if len(ks) == 1 else grams.sum(axis=0), _eye(shape[0]), ATOL_STRUCT):
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
         object.__setattr__(self, "kraus", tuple(ks))
         object.__setattr__(self, "_stack", ks)
@@ -363,13 +373,6 @@ def apply_channel(ch: Channel, s: State) -> State:
     if ch.dim != s.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {s.dim}")
     return State((ch._stack @ s.density @ _dagger_stack(ch._stack)).sum(axis=0))
-
-
-def apply_unitary_stack(us: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``apply_channel`` of each unitary of a stack to one density matrix, checked."""
-    rhos = us @ rho @ _dagger_stack(us)
-    check_density_stack(rhos)
-    return rhos
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +484,7 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     traces = _traces(m._stack @ rhos[:, None])
     agg: dict[int, np.ndarray] = {}
     for i, label in enumerate(m.outcome_labels):
-        agg[label] = agg.get(label, 0.0) + traces[:, i]
+        agg[label] = agg[label] + traces[:, i] if label in agg else traces[:, i]
     total = sum(agg.values())
     ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)
     if not _all(ok):

@@ -10,6 +10,7 @@ consistency check before the result is handed back.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _read_only,
     basis_ket,
     check_unitary_stack,
     pauli_eigenstates,
@@ -174,7 +176,16 @@ def qutrit_fixed_strategy() -> game.Strategy:
 # ---------------------------------------------------------------------------
 
 def clifford_group_d2() -> list[np.ndarray]:
-    """The 24 phase-canonical single-qubit Cliffords, closure of {H, S}."""
+    """The 24 phase-canonical single-qubit Cliffords, closure of {H, S}.
+
+    The closure runs once; each call returns a new list of the same
+    read-only matrices.
+    """
+    return list(_clifford_closure())
+
+
+@functools.cache
+def _clifford_closure() -> tuple[np.ndarray, ...]:
     seen: dict[tuple, np.ndarray] = {}
 
     def key(u: np.ndarray) -> tuple:
@@ -193,7 +204,7 @@ def clifford_group_d2() -> list[np.ndarray]:
                     seen[k] = prod
                     new.append(prod)
         frontier = new
-    group = [seen[k] for k in sorted(seen)]
+    group = tuple(_read_only(seen[k]) for k in sorted(seen))
     if len(group) != 24:
         raise ConsistencyError(f"Clifford closure produced {len(group)} elements, expected 24")
     return group
@@ -506,9 +517,13 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
 # Rz(epsilon) family and the fixed qutrit play
 # ---------------------------------------------------------------------------
 
-def success_probability_formula(epsilon: float) -> float:
-    """Closed-form success probability of the rz(epsilon)-pair strategy."""
-    e = float(epsilon)
+def success_probability_formula(epsilon):
+    """Closed-form success probability of the rz(epsilon)-pair strategy.
+
+    ``epsilon`` is an angle or an array of angles, made float64 first; an
+    array gives the array of values, each equal to its scalar call.
+    """
+    e = np.asarray(epsilon, dtype=float)
     return 0.25 * (
         (0.5 + np.cos(e) / 2)
         + (0.5 + np.cos(-e) / 2)
@@ -529,14 +544,16 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
 
     ``p_circuit`` is the exact circuit evaluation of ``rz_pair_strategy(epsilon)``,
     with the same products and traces as ``game.evaluate``, computed for the
-    whole grid in one call of ``game.evaluate_unitary_stack``.  Every
-    epsilon is checked before anything is evaluated.  The
+    whole grid in one call of ``game.evaluate_unitary_stack``, and
+    ``p_formula`` is ``success_probability_formula`` of the whole grid in
+    one call.  Every epsilon is checked before anything is evaluated.  The
     epsilon-independent parts (|+>, A = (I, S), the X measurement) come
-    from one validated ``rz_pair_strategy``; the B gates rz(epsilon)^+ and
-    rz(epsilon) are one (2, grid, 2, 2) stack.  The strategy's checks still
-    run on every point, each once over its stack: every B gate is unitary,
-    every state is Hermitian, of unit trace and positive semidefinite, and
-    every outcome distribution sums to 1.
+    from one validated ``optimal_unitary_strategy``; the B gates
+    rz(epsilon)^+ and rz(epsilon) are one (2, grid, 2, 2) stack built from
+    one array call of ``rz``.  The strategy's checks still run on every
+    point, each once over its stack: every B gate is unitary, every state
+    is Hermitian, of unit trace and positive semidefinite, and every
+    outcome distribution sums to 1.
     """
     eps_list = list(eps_grid)
     for eps in eps_list:
@@ -545,8 +562,8 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     if not eps_list:
         return []
     spec = game.GameSpec(2)
-    strategy = rz_pair_strategy(eps_list[0])
-    rz_stack = np.stack([rz(eps) for eps in eps_list])
+    strategy = optimal_unitary_strategy()
+    rz_stack = rz(eps_list)
     b_stack = np.stack([rz_stack.conj().transpose(0, 2, 1), rz_stack])
     check_unitary_stack(b_stack.reshape(-1, 2, 2))
     per_input = game.evaluate_unitary_stack(
@@ -557,10 +574,8 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
         strategy.measurement,
     )
     p_circuit = (sum(per_input.values()) / len(per_input)).tolist()
-    return [
-        (float(eps), float(success_probability_formula(eps)), p)
-        for eps, p in zip(eps_list, p_circuit)
-    ]
+    p_formula = success_probability_formula(eps_list).tolist()
+    return [(float(eps), pf, pc) for eps, pf, pc in zip(eps_list, p_formula, p_circuit)]
 
 
 def value_clifford_plus_rz(epsilon: float) -> ValueResult:

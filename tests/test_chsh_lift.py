@@ -176,6 +176,24 @@ def test_verify_equivalence_thousand_random_strategies():
     assert worst <= 1e-12
 
 
+def test_verify_equivalence_checks_all_its_densities_in_one_call(monkeypatch):
+    rng = np.random.default_rng(17)
+    strategies = [chsh_lift.random_normal_form(rng) for _ in range(5)]
+    stacks = []
+
+    def recording(rhos):
+        stacks.append(rhos.shape)
+        check(rhos)
+
+    check = q.check_density_stack
+    monkeypatch.setattr(q, "check_density_stack", recording)
+    monkeypatch.setattr(game, "check_density_stack", recording)
+    for s in strategies:
+        chsh_lift.verify_equivalence(s)
+    # Per strategy: the two densities after A and the four final ones.
+    assert stacks == [(6, 2, 2)] * len(strategies)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

@@ -124,8 +124,6 @@ def test_stack_checks_reject_a_single_bad_member():
     ]:
         with pytest.raises(ValueError, match=msg):
             q.check_density_stack(np.stack([pure, pure, bad]))
-    with pytest.raises(ValueError, match="trace"):
-        q.apply_unitary_stack(np.stack([q.I2, q.S]), np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError, match="sum to 1.2"):
         q.outcome_probabilities(q.Measurement.pauli("x"), np.stack([pure, 1.25 * pure]))
 
@@ -134,7 +132,9 @@ def test_stack_evaluation_matches_per_state_path_exactly():
     rng = np.random.default_rng(7)
     us = np.stack([q.random_unitary(2, rng) for _ in range(5)])
     initial = q.State.from_ket(q.plus_ket())
-    rhos = q.apply_unitary_stack(us, initial.density)
+    # Each density as game.evaluate_unitary_stack forms it.
+    rhos = us @ initial.density @ us.conj().swapaxes(-1, -2)
+    q.check_density_stack(rhos)
     for measurement in (q.Measurement.pauli("x"), q.Measurement.pauli("z", labels=(0, 0))):
         probs = q.outcome_probabilities(measurement, rhos)
         for k, u in enumerate(us):
@@ -231,7 +231,6 @@ def test_empty_stacks_pass_every_check(d):
     empty = np.zeros((0, d, d), dtype=complex)
     q.check_density_stack(empty)
     q.check_unitary_stack(empty)
-    assert q.apply_unitary_stack(empty, np.eye(d, dtype=complex) / d).shape == (0, d, d)
     probs = q.outcome_probabilities(q.Measurement.computational(d), empty)
     assert sorted(probs) == list(range(d))
     assert all(p.shape == (0,) for p in probs.values())
@@ -352,6 +351,34 @@ def test_channel_unitary_rejects_a_scaled_unitary():
         q.Channel.unitary(1.001 * q.S)
     with pytest.raises(ValueError, match="not unitary"):
         q.Channel.unitary(np.ones((2, 3)))
+
+
+def test_channel_keeps_its_shape_messages():
+    cases = (
+        ((q.I2, np.eye(3, dtype=complex)), "all Kraus operators must share one shape"),
+        ((np.ones((2, 3)),), "only square Kraus operators are supported"),
+        ((np.ones(2),), r"kraus operator must be 2-D, got shape \(2,\)"),
+        ((), "channel needs at least one Kraus operator"),
+        ((0.5 * q.I2, 0.5 * q.I2), "not trace preserving"),
+    )
+    for kraus, message in cases:
+        with pytest.raises(ValueError, match=message):
+            q.Channel(kraus)
+
+
+def test_array_rz_equals_stacked_scalar_rz_bit_for_bit():
+    rng = np.random.default_rng(31)
+    angles = np.concatenate([rng.uniform(-10, 10, 200), [0.0, -0.0, 1e-6, np.pi / 2 - 1e-9]])
+    stacked = np.stack([q.rz(t) for t in angles])
+    for thetas in (angles, angles.tolist(), angles.reshape(4, -1)):
+        gates = q.rz(thetas)
+        assert gates.shape == np.shape(thetas) + (2, 2) and gates.dtype == complex
+        assert gates.reshape(-1, 2, 2).tobytes() == stacked.tobytes()
+    # float32 angles are made float64 before the phase is taken.
+    angles32 = angles.astype(np.float32)
+    assert q.rz(angles32).tobytes() == np.stack([q.rz(float(t)) for t in angles32]).tobytes()
+    q.check_unitary_stack(q.rz(angles32))
+    assert q.rz([]).shape == (0, 2, 2)
 
 
 def test_outcome_probabilities_with_shared_labels_match_per_projector_traces():

@@ -25,6 +25,17 @@ def test_clifford_group_has_24_elements():
     assert len(keys) == 24
 
 
+def test_clifford_group_is_built_once_and_handed_out_read_only():
+    first, second = settings.clifford_group_d2(), settings.clifford_group_d2()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert not any(g.flags.writeable for g in first)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0, 0] = 2.0
+    first.pop()
+    assert len(settings.clifford_group_d2()) == 24
+
+
 def test_clifford_group_contains_generators_and_paulis():
     group = settings.clifford_group_d2()
     for named in (q.I2, q.X, q.Z, q.H, q.S):
@@ -408,11 +419,51 @@ def test_sweep_checks_the_gates_of_every_point(monkeypatch):
     # A defective gate at one grid point fails the whole sweep, as it fails
     # rz_pair_strategy at that point.
     exact_rz = settings.rz
-    monkeypatch.setattr(settings, "rz", lambda e: exact_rz(e) * (1.001 if e == 0.5 else 1.0))
+
+    def defective_rz(e):
+        # Scales the gate at 0.5, from a scalar call or as one gate of an array call.
+        at_half = (np.asarray(e) == 0.5)[..., None, None]
+        return exact_rz(e) * np.where(at_half, 1.001, 1.0)
+
+    monkeypatch.setattr(settings, "rz", defective_rz)
     with pytest.raises(ValueError, match="not unitary"):
         settings.rz_pair_strategy(0.5)
     with pytest.raises(ValueError, match="not unitary"):
         settings.epsilon_sweep([0.3, 0.5, 0.7])
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_sweep_formula_column_equals_the_scalar_formula_bit_for_bit():
+    grids = [settings.uniform_open_grid(n) for n in (2, 9, 1001)]
+    grids += [[np.float32(0.5)], [1e-6, np.pi / 2 - 1e-9]]
+    for grid in grids:
+        rows = settings.epsilon_sweep(grid)
+        scalar = [settings.success_probability_formula(eps) for eps in grid]
+        assert _bits([r[1] for r in rows]) == _bits(scalar)
+        assert all(type(r[1]) is float for r in rows)
+    assert _bits(settings.success_probability_formula(np.float32(0.5))) == \
+        _bits(settings.success_probability_formula(0.5))
+
+
+def test_sweep_calls_rz_and_the_formula_once(monkeypatch):
+    calls = {"rz": 0, "success_probability_formula": 0}
+
+    def counting(name):
+        original = getattr(settings, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(settings, name, counting(name))
+    settings.epsilon_sweep(settings.uniform_open_grid(1001))
+    assert calls == {"rz": 1, "success_probability_formula": 1}
 
 
 def test_sweep_circuit_is_exactly_the_strategy_evaluation():

@@ -2,6 +2,7 @@
 
     python tools/cli_golden.py --record DIR     # writes DIR/golden.json
     python tools/cli_golden.py --compare DIR    # exit 1 on any difference
+    python tools/cli_golden.py --against REF    # exit 1 if REF's outputs differ
 
 Each command of ``COMMANDS`` runs as ``python -m chshstar.cli`` with the
 ``src`` directory of the tree holding this script first on ``PYTHONPATH``,
@@ -9,9 +10,10 @@ in a fresh temporary working directory.  Its exit code, stdout and stderr
 are stored, plus the file a ``--output`` command wrote.  The ``wall time:``
 line of ``value --format text`` is masked, since it varies from run to run.
 
-To check a change against its parent, copy this script into a checkout of
-the parent commit, run ``--record DIR`` there, then ``--compare DIR`` in the
-changed tree.  Only the standard library is used.
+``--against REF`` checks a change against a commit in one step: it checks
+REF out into a temporary ``git worktree``, records this script's commands
+with that tree's ``src``, removes the worktree and compares the recording
+with the working tree's outputs.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 OUT = "{out}"  # replaced by a path in the command's temporary directory
 FIELDS = ("rc", "stdout", "stderr", "output")
 
@@ -95,13 +98,13 @@ def _mask(text: str) -> str:
     return re.sub(r"^wall time: .*$", "wall time: <masked>", text, flags=re.MULTILINE)
 
 
-def run(env: dict, argv: list[str]) -> dict:
-    """Exit code, stdout, stderr and the ``--output`` file of one command."""
+def run(env: dict, argv: list[str], src: str = SRC) -> dict:
+    """Exit code, stdout, stderr and the ``--output`` file of one command run on ``src``."""
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "output.txt")
         proc = subprocess.run(
             [sys.executable, "-m", "chshstar.cli", *(out_path if a == OUT else a for a in argv)],
-            env=dict(os.environ, PYTHONPATH=SRC, **env), cwd=tmp, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, **env), cwd=tmp, capture_output=True, text=True,
         )
         output = None
         if OUT in argv and os.path.exists(out_path):
@@ -111,8 +114,20 @@ def run(env: dict, argv: list[str]) -> dict:
             "output": output}
 
 
-def record_all() -> dict:
-    return {_key(env, argv): run(env, argv) for env, argv in COMMANDS}
+def record_all(src: str = SRC) -> dict:
+    return {_key(env, argv): run(env, argv, src) for env, argv in COMMANDS}
+
+
+def record_ref(ref: str) -> dict:
+    """``record_all`` on the tree of commit ``ref``, checked out in a temporary worktree."""
+    git = ["git", "-C", ROOT, "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "ref")
+        subprocess.run([*git, "add", "--detach", tree, ref], check=True, capture_output=True, text=True)
+        try:
+            return record_all(os.path.join(tree, "src"))
+        finally:
+            subprocess.run([*git, "remove", "--force", tree], capture_output=True)
 
 
 def differences(golden: dict, current: dict) -> list[str]:
@@ -140,7 +155,14 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", metavar="DIR", help="run every command and store the outputs")
     mode.add_argument("--compare", metavar="DIR", help="run every command and diff against DIR")
+    mode.add_argument("--against", metavar="REF", help="run every command at commit REF and here, and diff")
     args = parser.parse_args(argv)
+    if args.against:
+        try:
+            golden = record_ref(args.against)
+        except subprocess.CalledProcessError as exc:
+            print(f"error: cannot check out {args.against!r}: {exc.stderr.strip()}", file=sys.stderr)
+            return 2
     current = record_all()
     if args.record:
         os.makedirs(args.record, exist_ok=True)
@@ -148,8 +170,9 @@ def main(argv=None) -> int:
             json.dump(current, fh, indent=1, sort_keys=True)
         print(f"recorded {len(current)} commands in {args.record}")
         return 0
-    with open(os.path.join(args.compare, "golden.json")) as fh:
-        golden = json.load(fh)
+    if args.compare:
+        with open(os.path.join(args.compare, "golden.json")) as fh:
+            golden = json.load(fh)
     diffs = differences(golden, current)
     for block in diffs:
         print(block, end="" if block.endswith("\n") else "\n")
