@@ -90,6 +90,7 @@ def random_normal_form(rng: np.random.Generator) -> game.Strategy:
     return normal_form(*(random_unitary(2, rng) for _ in range(4)))
 
 
+_QUBIT_GAME = game.GameSpec(2)
 _BELL_PAIR = bell_pair_ket()
 _X_KETS = np.stack([plus_ket(), minus_ket()])
 _X_PROJECTORS = np.stack([projector(k) for k in _X_KETS])
@@ -170,14 +171,13 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     every density on it is still checked, in one stack check of the two
     after A and the four final ones, and so are their outcome sums.
     """
-    spec = game.GameSpec(2)
-    game._check_inputs(spec, s)
+    game._check_inputs(_QUBIT_GAME, s)
     cs = lift(s)
-    inputs = spec.input_alphabet
+    inputs = _QUBIT_GAME.input_alphabet
     single = game.evaluate_unitary_stack(
-        spec,
+        _QUBIT_GAME,
         s.initial.density,
-        np.array([s.a_gates[a].kraus[0] for a in inputs]),
+        np.concatenate([s.a_gates[a]._stack for a in inputs]),
         np.array([s.b_gates[b]._stack for b in inputs]),
         s.measurement,
     )

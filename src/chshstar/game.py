@@ -8,8 +8,10 @@ never sampled.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,22 +29,43 @@ from .quantum import (
 )
 
 
+@functools.cache
+def _input_tables(q: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The alphabet, the input pairs and their winning answers a * b mod q, built once per q."""
+    alphabet = tuple(range(q))
+    pairs = tuple(itertools.product(alphabet, repeat=2))
+    return alphabet, pairs, tuple((a * b) % q for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class GameSpec:
-    """Answer modulus q and the winning predicate ``c = a * b mod q``."""
+    """Answer modulus q and the winning predicate ``c = a * b mod q``.
+
+    The input alphabet, the input pairs and each pair's winning answer are
+    built once, at construction; equality, hash and repr read q alone.
+    """
 
     q: int
+    input_alphabet: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _answers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.q not in (2, 3):
+        try:
+            q = operator.index(self.q)
+        except TypeError:
+            raise ValueError(f"modulus q must be an integer, got {self.q!r}") from None
+        if q not in (2, 3):
             raise ValueError(f"unsupported modulus q={self.q}; only 2 and 3 are implemented")
-
-    @property
-    def input_alphabet(self) -> tuple[int, ...]:
-        return tuple(range(self.q))
+        alphabet, pairs, answers = _input_tables(q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "input_alphabet", alphabet)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_answers", answers)
 
     def input_pairs(self) -> list[tuple[int, int]]:
-        return list(itertools.product(self.input_alphabet, repeat=2))
+        """A new list of the q * q input pairs (a, b), in lexicographic order."""
+        return list(self._pairs)
 
 
 def winning_answer(spec: GameSpec, a: int, b: int) -> int:
@@ -153,10 +176,18 @@ def evaluate_unitary_stack(
     check_density_stack(np.concatenate((rho_a, rhos)))
     probs = outcome_probabilities(measurement, rhos)
     per_input: dict[tuple[int, int], np.ndarray] = {}
-    for i, (a, b) in enumerate(spec.input_pairs()):
-        p = probs.get(winning_answer(spec, a, b))
-        per_input[(a, b)] = np.zeros(k) if p is None else p[i * k:(i + 1) * k]
+    for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers)):
+        p = probs.get(answer)
+        per_input[pair] = np.zeros(k) if p is None else p[i * k:(i + 1) * k]
     return per_input
+
+
+def _symbols(values) -> tuple[int, ...] | None:
+    """The values as Python ints, or None unless every one is an integer (numpy's too)."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        return None
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:
@@ -168,11 +199,12 @@ def stochastic_matrix(gate, d: int) -> np.ndarray:
     """
     arr = np.asarray(gate)
     if arr.ndim == 1:
-        if arr.shape != (d,) or not all(0 <= int(v) < d for v in arr):
+        images = _symbols(arr) if arr.shape == (d,) else None
+        if images is None or not all(0 <= i < d for i in images):
             raise ValueError(f"function table {gate!r} is not a map on {d} symbols")
         m = np.zeros((d, d))
-        for j, i in enumerate(arr):
-            m[int(i), j] = 1.0
+        for j, i in enumerate(images):
+            m[i, j] = 1.0
     else:
         m = np.array(arr, dtype=float)
         if m.shape != (d, d):
@@ -188,7 +220,10 @@ class ClassicalStrategy:
     """Strategy on a classical d-symbol system.
 
     Gates are function tables or left-stochastic matrices over symbols;
-    the readout labels each symbol with a game answer mod q.
+    the readout labels each symbol with a game answer mod q.  The initial
+    symbol, the readout labels and function-table images must be integers
+    (Python's or numpy's); the initial symbol and the readout are kept as
+    Python ints.
     """
 
     num_symbols: int
@@ -199,11 +234,19 @@ class ClassicalStrategy:
 
     def __post_init__(self):
         d = self.num_symbols
-        if not 0 <= self.initial < d:
+        try:
+            initial = operator.index(self.initial)
+        except TypeError:
+            raise ValueError(f"initial symbol {self.initial!r} is not an integer") from None
+        if not 0 <= initial < d:
             raise ValueError(f"initial symbol {self.initial} outside range({d})")
         if len(self.readout) != d:
             raise ValueError(f"readout must label all {d} symbols")
-        object.__setattr__(self, "readout", tuple(int(c) for c in self.readout))
+        readout = _symbols(self.readout)
+        if readout is None:
+            raise ValueError(f"readout {self.readout!r} has a label that is not an integer")
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "readout", readout)
         # Normalize eagerly so invalid gates are rejected at construction.
         object.__setattr__(
             self, "a_gates", {k: stochastic_matrix(g, d) for k, g in self.a_gates.items()}

@@ -9,6 +9,10 @@ identity matrices and, per (axis, labels), the Pauli measurement, which
 Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
+A single qubit object (a ``State`` of a 2x2 density, a ``Channel`` of one
+2x2 Kraus operator) is checked in closed form on the Python scalars of one
+``tolist()`` call; stacks and objects of dimension 3 and up are checked
+vectorized, by the stack checks below.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +223,59 @@ def check_density_stack(rhos: np.ndarray) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
+# The same checks for one qubit object, on Python scalars: numpy's fixed cost
+# per call is most of a stack check of one 2x2 matrix.  A complex modulus is
+# abs() of a Python complex, libm's hypot as ``np.hypot`` takes it; numpy's
+# complex ``np.abs`` may differ from it by an ulp or two, so an entry within
+# a few roundings of its tolerance could be decided differently than by the
+# stack check.  Where the modulus of finite parts overflows, numpy gives inf and
+# Python's abs() raises OverflowError; both fail the check that takes it.
+
+def _check_qubit_density(rho: np.ndarray) -> None:
+    """``check_density_stack(rho[None])`` for one 2x2 density, in closed form on scalars.
+
+    The same checks in the same order, with the same messages: every entry
+    Hermitian to ``ATOL_PROB``, the trace's real part a + b within
+    ``ATOL_PROB`` of 1, and tr/2 - hypot((a - b)/2, |rho_10|) at least
+    ``-ATOL_STRUCT``.  Only the moduli may differ from the stack check's,
+    by an ulp or two (see above).
+    """
+    (a, c), (r, b) = rho.tolist()
+    try:
+        hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
+                     and abs(r - c.conjugate()) <= ATOL_PROB and abs(b - b.conjugate()) <= ATOL_PROB)
+    except OverflowError:
+        hermitian = False
+    if not hermitian:
+        raise ValueError("density matrix is not Hermitian")
+    tr = a.real + b.real
+    if not abs(tr - 1.0) <= ATOL_PROB:
+        raise ValueError(f"density matrix trace is {tr}, expected 1")
+    try:
+        lam = tr / 2 - abs(complex((a.real - b.real) / 2, abs(r)))
+    except OverflowError:
+        lam = -math.inf
+    if lam < -ATOL_STRUCT:
+        raise ValueError("density matrix is not positive semidefinite")
+
+
+def _qubit_gram_is_identity(k: np.ndarray) -> bool:
+    """Whether K^+ K = I to ``ATOL_STRUCT`` entry by entry, for one 2x2 K, on scalars.
+
+    Each Gram entry is a sum of two Python complex products, where the stack
+    check takes ``_dagger_stack(k) @ k`` through BLAS, so an entry may differ
+    from it by an ulp: only one within a few roundings of ``ATOL_STRUCT``
+    could be decided differently.
+    """
+    (a, b), (c, d) = k.tolist()
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    try:
+        return (abs(ac * a + cc * c - 1.0) <= ATOL_STRUCT and abs(ac * b + cc * d) <= ATOL_STRUCT
+                and abs(bc * a + dc * c) <= ATOL_STRUCT and abs(bc * b + dc * d - 1.0) <= ATOL_STRUCT)
+    except OverflowError:
+        return False
+
+
 def is_left_stochastic(m: np.ndarray) -> bool:
     """Entries >= 0 and every column summing to 1, to the trace-preservation tolerance."""
     return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT)
@@ -256,7 +315,9 @@ class State:
     Like ``Channel`` and ``Measurement``, a state compares and hashes by
     identity: its fields are arrays, which have no single truth value.  It
     keeps a read-only copy of the caller's array, so a later write to that
-    array cannot change a validated state.
+    array cannot change a validated state.  A qubit density is checked in
+    closed form on scalars (``_check_qubit_density``), a larger one as the
+    stack of one.
     """
 
     density: np.ndarray
@@ -266,7 +327,10 @@ class State:
         if rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
         rho.flags.writeable = False
-        check_density_stack(rho[None])
+        if rho.shape == (2, 2):
+            _check_qubit_density(rho)
+        else:
+            check_density_stack(rho[None])
         object.__setattr__(self, "density", rho)
 
     @classmethod
@@ -284,7 +348,9 @@ class Channel:
 
     The operators are kept once, as the read-only stack ``_stack`` (n, d, d)
     that the completeness check ran on; ``kraus`` holds views of that stack,
-    so ``apply_channel`` never re-stacks them.
+    so ``apply_channel`` never re-stacks them.  The completeness check of one
+    2x2 operator is taken in closed form on scalars (``_qubit_gram_is_identity``);
+    any other channel sums the Gram stack.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -300,8 +366,12 @@ class Channel:
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
         ks = _read_only(np.array(ops))
-        grams = _dagger_stack(ks) @ ks  # one operator's K^+ K is its own sum
-        if not _close(grams if len(ks) == 1 else grams.sum(axis=0), _eye(shape[0]), ATOL_STRUCT):
+        if ks.shape == (1, 2, 2):
+            complete = _qubit_gram_is_identity(ops[0])
+        else:
+            grams = _dagger_stack(ks) @ ks  # one operator's K^+ K is its own sum
+            complete = _close(grams if len(ks) == 1 else grams.sum(axis=0), _eye(shape[0]), ATOL_STRUCT)
+        if not complete:
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
         object.__setattr__(self, "kraus", tuple(ks))
         object.__setattr__(self, "_stack", ks)
@@ -485,7 +555,7 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     agg: dict[int, np.ndarray] = {}
     for i, label in enumerate(m.outcome_labels):
         agg[label] = agg[label] + traces[:, i] if label in agg else traces[:, i]
-    total = sum(agg.values())
+    total = functools.reduce(operator.add, agg.values())  # from the first label's column, not 0
     ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)
     if not _all(ok):
         raise ValueError(f"outcome probabilities sum to {total[~ok][0]}, expected 1")

@@ -34,6 +34,35 @@ def test_winning_answer_rejects_out_of_alphabet():
         game.winning_answer(game.GameSpec(2), 2, 0)
 
 
+def test_gamespec_builds_its_alphabet_and_pairs_once():
+    for q_mod in (2, 3):
+        spec = game.GameSpec(q_mod)
+        assert spec.input_alphabet == tuple(range(q_mod))
+        assert spec.input_alphabet is spec.input_alphabet
+        assert spec._answers == tuple(game.winning_answer(spec, a, b) for a, b in spec.input_pairs())
+        pairs = spec.input_pairs()
+        assert pairs == [(a, b) for a in range(q_mod) for b in range(q_mod)]
+        assert spec.input_pairs() is not pairs  # a new list per call
+        pairs.append((9, 9))
+        assert len(spec.input_pairs()) == q_mod ** 2
+
+
+def test_gamespec_equality_hash_and_repr_read_q_alone():
+    assert game.GameSpec(2) == game.GameSpec(2) != game.GameSpec(3)
+    assert hash(game.GameSpec(3)) == hash(game.GameSpec(3))
+    assert repr(game.GameSpec(2)) == "GameSpec(q=2)"
+    spec = game.GameSpec(np.int64(3))
+    assert spec == game.GameSpec(3) and repr(spec) == "GameSpec(q=3)"
+    assert game.evaluate(game.GameSpec(np.int64(2)), optimal_unitary_strategy()).average == \
+        game.evaluate(game.GameSpec(2), optimal_unitary_strategy()).average
+
+
+def test_gamespec_rejects_a_non_integer_modulus():
+    for bad in (2.0, 2.5, "2", None, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^modulus q must be an integer"):
+            game.GameSpec(bad)
+
+
 def test_optimal_strategy_hits_tsirelson_on_every_input():
     report = game.evaluate(game.GameSpec(2), optimal_unitary_strategy())
     for prob in report.per_input.values():
@@ -290,6 +319,40 @@ def test_bad_function_table_rejected():
             b_gates={0: (0, 1), 1: (0, 1)},
             readout=(0, 1),
         )
+
+
+def _classical(**changes) -> game.ClassicalStrategy:
+    fields = dict(num_symbols=2, initial=0, a_gates={0: (0, 1), 1: (1, 0)},
+                  b_gates={0: (0, 0), 1: (0, 1)}, readout=(0, 1))
+    return game.ClassicalStrategy(**{**fields, **changes})
+
+
+def test_classical_strategy_rejects_non_integer_symbols():
+    # Each of these was once truncated to an integer symbol without error,
+    # or, for the initial symbol, failed later with an IndexError.
+    cases = (
+        (dict(a_gates={0: (0.5, 1.9), 1: (1, 0)}), "is not a map on 2 symbols"),
+        (dict(b_gates={0: (0, 0), 1: np.array([0.0, 1.0])}), "is not a map on 2 symbols"),
+        (dict(readout=(0.7, 1.2)), "has a label that is not an integer"),
+        (dict(readout=(0, "1")), "has a label that is not an integer"),
+        (dict(initial=0.5), "initial symbol 0.5 is not an integer"),
+        (dict(initial=np.float64(1.0)), "is not an integer"),
+    )
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _classical(**changes)
+
+
+def test_classical_strategy_accepts_numpy_integer_symbols():
+    plain = game.evaluate_classical(game.GameSpec(2), _classical())
+    cs = _classical(
+        initial=np.int64(0),
+        a_gates={0: np.array([0, 1], dtype=np.uint8), 1: np.array([1, 0])},
+        readout=(np.int64(0), np.uint8(1)),
+    )
+    assert type(cs.initial) is int and all(type(c) is int for c in cs.readout)
+    assert game.evaluate_classical(game.GameSpec(2), cs) == plain
+    assert plain.average == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,130 @@ def test_empty_stacks_pass_every_check(d):
 
 
 # ---------------------------------------------------------------------------
+# Single qubit objects: closed form on scalars, decided as the stack checks
+# ---------------------------------------------------------------------------
+
+BIG = 1.7e308  # finite, but the modulus of BIG * (1 + 1j) overflows
+
+
+def _outcome(check, *args):
+    """(exception type, message) that ``check(*args)`` raises, or None when it passes."""
+    try:
+        with np.errstate(all="ignore"):
+            check(*args)
+    except Exception as exc:  # any type that escapes is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _ulp_steps(x: float, n: int) -> list[float]:
+    """The 2n + 1 floats from n below x to n above it, one ulp apart."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def _qubit_densities_to_check(rng) -> list[np.ndarray]:
+    valid = []
+    for _ in range(100):
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pure = q.projector(ket / np.linalg.norm(ket))
+        w = rng.uniform()
+        valid += [pure, w * pure + (1 - w) * q.I2 / 2]
+    rhos = list(valid)
+    for rho in valid[:20]:
+        skew = rho.copy()
+        skew[0, 1] += 1e-9
+        v = q.random_unitary(2, rng)
+        negative = v @ np.diag([-0.1, 1.1]) @ v.conj().T
+        rhos += [skew, 1.3 * rho, (negative + negative.conj().T) / 2]
+    for i in range(2):
+        for j in range(2):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+                for symmetric in (False, True):
+                    rho = q.I2 / 2
+                    rho[i, j] = bad
+                    if symmetric:
+                        rho[j, i] = bad
+                    rhos.append(rho)
+    big = BIG * (1 + 1j)
+    rhos += [
+        np.array([[0.5, big], [np.conj(big), 0.5]]),  # Hermitian, |rho_10| overflows
+        np.array([[0.5, big], [0.0, 0.5]]),  # |rho_01 - conj(rho_10)| overflows
+        np.array([[0.5, BIG], [BIG, 0.5]]),
+        np.array([[0.5 + BIG * 1j, 0.0], [0.0, 0.5]]),
+        np.diag([BIG, -BIG]).astype(complex),
+    ]
+    # Traces one ulp apart across 1 +- ATOL_PROB; t - 0.5 + 0.5 is t exactly.
+    for t in _ulp_steps(1 + q.ATOL_PROB, 4) + _ulp_steps(1 - q.ATOL_PROB, 4):
+        assert (t - 0.5) + 0.5 == t
+        rhos.append(np.diag([t - 0.5, 0.5]).astype(complex))
+    # Smallest eigenvalues across -ATOL_STRUCT, in steps below the rounding of tr/2 - |a - b|/2.
+    for low in -q.ATOL_STRUCT + 1e-17 * np.arange(-200, 201):
+        rhos.append(np.diag([low, 1.0 - low]).astype(complex))
+    rhos += list(_densities_near_the_psd_bound(rng, 200))
+    return rhos
+
+
+def test_qubit_state_checks_decide_as_the_stack_check():
+    outcomes = set()
+    for rho in _qubit_densities_to_check(np.random.default_rng(1515)):
+        single = _outcome(q.State, rho)
+        assert single == _outcome(q.check_density_stack, rho[None]), rho
+        assert single is None or single[0] is ValueError
+        outcomes.add(single if single is None else single[1].split(" is ")[0])
+    assert outcomes == {None, "density matrix", "density matrix trace"}
+    # Each tolerance is reached from both sides.
+    for t, accepted in ((np.nextafter(1 + q.ATOL_PROB, 0), True), (1 + 2 * q.ATOL_PROB, False)):
+        assert (_outcome(q.State, np.diag([t - 0.5, 0.5]).astype(complex)) is None) == accepted
+
+
+def test_qubit_state_reports_an_overflowing_modulus_as_not_psd():
+    big = BIG * (1 + 1j)
+    with pytest.raises(ValueError) as exc:
+        q.State(np.array([[0.5, big], [np.conj(big), 0.5]]))
+    assert str(exc.value) == "density matrix is not positive semidefinite"
+
+
+def test_single_qubit_gram_check_decides_as_the_stack_check():
+    rng = np.random.default_rng(1516)
+    us = [q.random_unitary(2, rng) for _ in range(200)] + [q.I2, q.X, q.Y, q.Z, q.H, q.S, q.T]
+    cases = us + [1.001 * u for u in us[:20]] + [u @ np.diag([1.0, 1.0 + 1e-9]) for u in us[:20]]
+    for i in range(2):
+        for j in range(2):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), BIG, BIG * (1 + 1j), 1.3e154 * (1 + 1j)):
+                u = q.I2.copy()
+                u[i, j] = bad
+                cases.append(u)
+    # A real diagonal K gives exact Gram entries on both paths: K^+ K - I
+    # steps across +-ATOL_STRUCT one ulp of the entry at a time.
+    exact = [np.diag([s, 1.0]).astype(complex)
+             for target in (1 + q.ATOL_STRUCT, 1 - q.ATOL_STRUCT)
+             for s in _ulp_steps(np.sqrt(target), 40)]
+    # Complex unitaries scaled to put their Gram entries near the tolerance.
+    near = [u * np.sqrt(1 + q.ATOL_STRUCT) * (1 + k * np.finfo(float).eps) for u in us[:10] for k in range(-20, 21)]
+    eye = np.eye(2)
+    for group in (cases, exact, near):
+        decided = set()
+        for u in group:
+            single = _outcome(q.Channel.unitary, u)
+            assert single in (None, (ValueError, "matrix is not unitary"))
+            assert (_outcome(q.Channel, (u,)) is None) == (single is None)
+            stacked = _outcome(q.check_unitary_stack, u[None])
+            if single != stacked:
+                # The scalar Gram entries may differ from BLAS's by an ulp.
+                assert group is near
+                with np.errstate(all="ignore"):
+                    deviation = np.abs(u.conj().T @ u - eye).max()
+                assert abs(deviation - q.ATOL_STRUCT) <= 2 * np.finfo(float).eps
+            decided.add(single is None)
+        assert decided == {True, False}
+    assert _outcome(q.Channel, (cases[-1],)) == (ValueError, "channel is not trace preserving (sum K^+ K != I)")
+
+
+# ---------------------------------------------------------------------------
 # Pauli measurements: validated once, shared read-only
 # ---------------------------------------------------------------------------
 
