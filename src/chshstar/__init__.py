@@ -10,6 +10,7 @@ strategies, and accounts for the entropy cost of erasure-based strategies.
 """
 
 from .quantum import (
+    ATOL_NAME,
     ATOL_PROB,
     ATOL_STRUCT,
     Channel,
@@ -17,9 +18,7 @@ from .quantum import (
     State,
     apply_channel,
     basis_ket,
-    dagger,
     fourier_ket,
-    matmul,
     minus_ket,
     outcome_distribution,
     pauli_eigenstates,
@@ -31,8 +30,6 @@ from .quantum import (
     rz,
     ry,
     shift_gate,
-    tensor,
-    transpose,
     H,
     I2,
     S,

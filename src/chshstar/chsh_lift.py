@@ -171,7 +171,7 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     every density on it is still checked, in one stack check of the two
     after A and the four final ones, and so are their outcome sums.
     """
-    game._check_inputs(_QUBIT_GAME, s)
+    game._check_inputs(_QUBIT_GAME, s.a_gates, s.b_gates, s.measurement.outcome_labels)
     cs = lift(s)
     inputs = _QUBIT_GAME.input_alphabet
     single = game.evaluate_unitary_stack(

@@ -15,6 +15,13 @@ passed)``: the JSON payload, the text lines (CSV lines for ``sweep-epsilon
 writes ``--output``, prints and picks the exit code; commands raise
 ``ValueError`` on usage errors and warn on stderr when the optimizer stalls.
 
+``value --dimension`` defaults to the setting's own dimension (2 for
+``reversible``, which also takes 3); a dimension the setting does not take
+is a usage error.  A witness is shown as function tables (classical) or by
+the names of its initial state, measurement and unitary gates, with a gate
+no name fits given as its raw matrix.  Names and symbolic values are
+recognized to ``ATOL_NAME`` (1e-9).
+
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
 payload); the schema ships at ``chshstar/schemas/cli_output.schema.json``.
@@ -39,6 +46,7 @@ import numpy as np
 
 from . import chsh_lift, game, landauer, settings
 from .quantum import (
+    ATOL_NAME,
     Channel,
     Measurement,
     matrices_equal_up_to_phase,
@@ -85,10 +93,10 @@ _GATE_NAMES_2 = (
 )
 
 
-def value_symbol(v: float, atol: float = 1e-9) -> str | None:
-    """Symbolic name of a recognized constant, or None."""
+def value_symbol(v: float) -> str | None:
+    """Symbolic name of a constant within ``ATOL_NAME`` of ``v``, or None."""
     for ref, name in _SYMBOLIC_VALUES:
-        if abs(v - ref) <= atol:
+        if abs(v - ref) <= ATOL_NAME:
             return name
     return None
 
@@ -98,15 +106,15 @@ def _gate_names_3() -> tuple:
     return (("I", g["I"]), ("X", g["X"]), ("T3", g["T3"]), ("V", g["V"]), ("W", g["W"]), ("F", g["F"]))
 
 
-def gate_name(u: np.ndarray, atol: float = 1e-9) -> str | None:
-    """Recognized name of a unitary (up to global phase), or None."""
+def gate_name(u: np.ndarray) -> str | None:
+    """Recognized name of a unitary (up to global phase, to ``ATOL_NAME``), or None."""
     table = _GATE_NAMES_2 if u.shape == (2, 2) else _gate_names_3() if u.shape == (3, 3) else ()
     for name, ref in table:
-        if matrices_equal_up_to_phase(u, ref, atol):
+        if matrices_equal_up_to_phase(u, ref):
             return name
     if u.shape == (2, 2):
-        c = phase_canonical(u, atol)
-        if abs(c[0, 1]) < atol and abs(c[1, 0]) < atol:
+        c = phase_canonical(u)
+        if abs(c[0, 1]) < ATOL_NAME and abs(c[1, 0]) < ATOL_NAME:
             theta = float(np.angle(c[1, 1] / c[0, 0]))
             return f"Rz({theta:.12g})"
     return None
@@ -117,22 +125,18 @@ def _matrix_json(m: np.ndarray) -> list:
 
 
 def _matches(matrices, references) -> bool:
-    """Equal counts, and each matrix equal in shape and, to 1e-9, entrywise to its reference."""
+    """Equal counts, and each matrix equal in shape and, to ``ATOL_NAME``, entrywise to its reference."""
     return len(matrices) == len(references) and all(
-        np.shape(m) == np.shape(r) and np.allclose(m, r, atol=1e-9, rtol=0.0)
+        np.shape(m) == np.shape(r) and np.allclose(m, r, atol=ATOL_NAME, rtol=0.0)
         for m, r in zip(matrices, references)
     )
 
 
 def _gate_json(ch: Channel) -> dict:
-    if len(ch.kraus) == 1:
-        name = gate_name(ch.kraus[0])
-        if name is not None:
-            return {"name": name}
-        return {"matrix": _matrix_json(ch.kraus[0])}
-    if _matches(ch.kraus, Channel.erase().kraus):
-        return {"name": "ERASE"}
-    return {"kraus": [_matrix_json(k) for k in ch.kraus]}
+    """A unitary gate by name, or as its raw matrix."""
+    (u,) = ch.kraus  # every setting's quantum witness has unitary gates
+    name = gate_name(u)
+    return {"name": name} if name is not None else {"matrix": _matrix_json(u)}
 
 
 def _state_name(density: np.ndarray) -> str | None:
@@ -144,24 +148,16 @@ def _state_name(density: np.ndarray) -> str | None:
 def _measurement_json(m: Measurement) -> dict:
     named = [(axis.upper(), Measurement.pauli(axis)) for axis in ("x", "y", "z")]
     named.append((f"F{m.dim}", Measurement.fourier(m.dim)))
-    labels = list(m.outcome_labels)
-    for name, ref in named:
-        if _matches(m.projectors, ref.projectors):
-            return {"name": name, "labels": labels}
-    return {"labels": labels, "projectors": [_matrix_json(p) for p in m.projectors]}
+    name = next((name for name, ref in named if _matches(m.projectors, ref.projectors)), None)
+    return {"name": name, "labels": list(m.outcome_labels)}
 
 
 def _witness_json(witness) -> dict:
+    """Function tables of a classical witness; names (or raw unitary matrices) of a quantum one."""
     if isinstance(witness, game.ClassicalStrategy):
         def tables(gates):
-            out = {}
-            for k in sorted(gates):
-                m = np.asarray(gates[k])
-                if np.allclose(m, np.round(m), atol=0) and set(np.unique(m)) <= {0.0, 1.0}:
-                    out[str(k)] = [int(np.argmax(m[:, j])) for j in range(m.shape[1])]
-                else:
-                    out[str(k)] = [[float(x) for x in row] for row in m]
-            return out
+            # Column j of a function table's 0/1 matrix has its 1 at the image of j.
+            return {str(k): np.argmax(gates[k], axis=0).tolist() for k in sorted(gates)}
 
         return {
             "type": "classical",
@@ -171,12 +167,10 @@ def _witness_json(witness) -> dict:
             "b_gates": tables(witness.b_gates),
             "readout": list(witness.readout),
         }
-    name = _state_name(witness.initial.density)
-    initial = {"name": name} if name else {"density": _matrix_json(witness.initial.density)}
     return {
         "type": "quantum",
         "dimension": witness.dim,
-        "initial": initial,
+        "initial": {"name": _state_name(witness.initial.density)},
         "a_gates": {str(k): _gate_json(witness.a_gates[k]) for k in sorted(witness.a_gates)},
         "b_gates": {str(k): _gate_json(witness.b_gates[k]) for k in sorted(witness.b_gates)},
         "measurement": _measurement_json(witness.measurement),
@@ -189,16 +183,16 @@ def _witness_text(data: dict) -> list[str]:
     if classical:
         lines = [f"  initial symbol: {data['initial']}"]
     else:
-        lines = [f"  initial: {data['initial'].get('name', data['initial'].get('density'))}"]
+        lines = [f"  initial: {data['initial']['name']}"]
     for stage in ("a_gates", "b_gates"):
         for k, g in data[stage].items():
-            shown = g if classical else g.get("name") or g.get("matrix") or g.get("kraus")
+            shown = g if classical else g.get("name", g.get("matrix"))
             lines.append(f"  {stage[0].upper()}{k} = {shown}")
     if classical:
         lines.append(f"  readout: {data['readout']}")
     else:
         meas = data["measurement"]
-        lines.append(f"  measurement: {meas.get('name', 'projectors')}, labels {meas['labels']}")
+        lines.append(f"  measurement: {meas['name']}, labels {meas['labels']}")
     return lines
 
 
@@ -238,8 +232,8 @@ _SETTING_CLI = {
 
 def cmd_value(args) -> tuple[dict, list[str], bool]:
     kind = _SETTING_CLI[args.setting]
-    dimensions, _ = settings.SETTINGS[kind]
-    dimension = dimensions[0] if len(dimensions) == 1 else args.dimension
+    # Without --dimension, the setting's own (its first); SettingSpec judges a given one.
+    dimension = settings.SETTINGS[kind][0][0] if args.dimension is None else args.dimension
     setting = settings.SettingSpec(kind=kind, dimension=dimension, epsilon=args.epsilon)
     config = settings.OptimizerConfig(
         restarts=args.restarts,
@@ -521,7 +515,8 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("value", help="game value for one setting")
     p.add_argument("--setting", choices=sorted(_SETTING_CLI), required=True)
-    p.add_argument("--dimension", type=int, default=2, help="for --setting reversible: 2 or 3")
+    p.add_argument("--dimension", type=int, default=None,
+                   help="the setting's dimension: 2 or 3 for reversible (default 2), its own otherwise")
     p.add_argument("--epsilon", type=float, default=None, help="for --setting clifford-plus-rz")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iterations", type=int, default=4000)

@@ -108,28 +108,25 @@ class EvaluationReport:
     erasure_ledger: dict[tuple[int, int], float] | None = None
 
 
-def _check_coverage(spec: GameSpec, gates: dict[int, object], stage: str) -> None:
-    missing = set(spec.input_alphabet) - set(gates)
-    if missing:
-        raise ValueError(f"{stage} gates missing for inputs {sorted(missing)}")
+def _check_inputs(spec: GameSpec, a_gates, b_gates, labels, source: str = "measurement") -> None:
+    """The evaluators' checks of a strategy against the game, in this order.
 
-
-def _check_inputs(spec: GameSpec, s: Strategy) -> None:
-    """``evaluate``'s checks of a strategy against the game, in its order.
-
-    A and B gates cover the input alphabet, and every measurement label is
-    an answer of the game.
+    A and B gates cover the input alphabet, and every label (of the
+    ``source``: the measurement, or a classical strategy's readout) is an
+    answer of the game.
     """
-    _check_coverage(spec, s.a_gates, "A")
-    _check_coverage(spec, s.b_gates, "B")
-    bad = [c for c in s.measurement.outcome_labels if not 0 <= c < spec.q]
+    for stage, gates in (("A", a_gates), ("B", b_gates)):
+        missing = set(spec.input_alphabet) - set(gates)
+        if missing:
+            raise ValueError(f"{stage} gates missing for inputs {sorted(missing)}")
+    bad = [c for c in labels if not 0 <= c < spec.q]
     if bad:
-        raise ValueError(f"measurement labels {bad} outside range(0, {spec.q})")
+        raise ValueError(f"{source} labels {bad} outside range(0, {spec.q})")
 
 
 def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
     """Exact win probability for every input pair, averaged uniformly."""
-    _check_inputs(spec, s)
+    _check_inputs(spec, s.a_gates, s.b_gates, s.measurement.outcome_labels)
 
     per_input: dict[tuple[int, int], float] = {}
     for a, b in spec.input_pairs():
@@ -220,10 +217,10 @@ class ClassicalStrategy:
     """Strategy on a classical d-symbol system.
 
     Gates are function tables or left-stochastic matrices over symbols;
-    the readout labels each symbol with a game answer mod q.  The initial
-    symbol, the readout labels and function-table images must be integers
-    (Python's or numpy's); the initial symbol and the readout are kept as
-    Python ints.
+    the readout labels each symbol with a game answer mod q.  The number of
+    symbols, the initial symbol, the readout labels and function-table
+    images must be integers (Python's or numpy's); the number of symbols,
+    the initial symbol and the readout are kept as Python ints.
     """
 
     num_symbols: int
@@ -233,7 +230,10 @@ class ClassicalStrategy:
     readout: tuple[int, ...]
 
     def __post_init__(self):
-        d = self.num_symbols
+        try:
+            d = operator.index(self.num_symbols)
+        except TypeError:
+            raise ValueError(f"number of symbols {self.num_symbols!r} is not an integer") from None
         try:
             initial = operator.index(self.initial)
         except TypeError:
@@ -245,6 +245,7 @@ class ClassicalStrategy:
         readout = _symbols(self.readout)
         if readout is None:
             raise ValueError(f"readout {self.readout!r} has a label that is not an integer")
+        object.__setattr__(self, "num_symbols", d)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "readout", readout)
         # Normalize eagerly so invalid gates are rejected at construction.
@@ -258,11 +259,7 @@ class ClassicalStrategy:
 
 def evaluate_classical(spec: GameSpec, cs: ClassicalStrategy) -> EvaluationReport:
     """Exact win probabilities for a classical strategy (possibly stochastic)."""
-    _check_coverage(spec, cs.a_gates, "A")
-    _check_coverage(spec, cs.b_gates, "B")
-    bad = [c for c in cs.readout if not 0 <= c < spec.q]
-    if bad:
-        raise ValueError(f"readout labels {bad} outside range(0, {spec.q})")
+    _check_inputs(spec, cs.a_gates, cs.b_gates, cs.readout, "readout")
 
     p0 = np.zeros(cs.num_symbols)
     p0[cs.initial] = 1.0

@@ -1,11 +1,13 @@
 """Dense complex linear algebra and quantum primitives for dimensions 2-9.
 
 Everything is a plain numpy array with ``dtype=complex``: kets are 1-D,
-operators and density matrices 2-D.  ``State``, ``Channel`` and
-``Measurement`` validate their arrays once, at construction, and keep
-read-only copies.  Fixed objects are built once: the six Pauli kets, the
-identity matrices and, per (axis, labels), the Pauli measurement, which
-``Measurement.pauli`` shares read-only among the instances it returns.
+operators and density matrices 2-D; products, adjoints and tensor
+products are numpy's own (``@``, ``.conj().T``, ``np.kron``).  ``State``,
+``Channel`` and ``Measurement`` validate their arrays once, at
+construction, and keep read-only copies.  Fixed objects are built once:
+the six Pauli kets, the identity matrices and, per (axis, labels), the
+Pauli measurement, which ``Measurement.pauli`` shares read-only among the
+instances it returns.
 Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
@@ -21,7 +23,7 @@ Phase conventions used throughout:
   ``w = exp(2 pi i / d)``; for d=2 these are the usual ``|+>``, ``|->``.
 * Global phases are irrelevant to every probability computed here;
   ``phase_canonical`` gives a canonical representative when operators
-  must be compared or deduplicated.
+  must be compared or deduplicated, to the naming tolerance ``ATOL_NAME``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import numpy as np
 ATOL_STRUCT = 1e-10
 # Equality of computed probabilities and traces.
 ATOL_PROB = 1e-12
+# Naming: phase normalization, equality up to phase, recognized gates, states and values.
+ATOL_NAME = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,29 +129,6 @@ def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a, b = _as_matrix(a, "a"), _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Transpose without conjugation."""
-    return _as_matrix(a).T
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major block convention."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
@@ -290,22 +271,23 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def phase_canonical(u: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Normalize global phase: first nonzero entry (column-major scan) made real positive."""
+def phase_canonical(u: np.ndarray) -> np.ndarray:
+    """Normalize global phase: first entry above ``ATOL_NAME`` (column-major scan) made real positive."""
     u = _as_matrix(u)
     flat = u.flatten(order="F")
-    nz = np.flatnonzero(np.abs(flat) > atol)
+    nz = np.flatnonzero(np.abs(flat) > ATOL_NAME)
     if nz.size == 0:
         raise ValueError("cannot phase-normalize the zero matrix")
     z = flat[nz[0]]
     return u * (abs(z) / z)
 
 
-def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
+def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, and phase-canonical forms equal entrywise to ``ATOL_NAME``."""
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         return False
-    return bool(np.allclose(phase_canonical(a, atol), phase_canonical(b, atol), atol=atol, rtol=0.0))
+    return bool(np.allclose(phase_canonical(a), phase_canonical(b), atol=ATOL_NAME, rtol=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,19 +503,6 @@ class Measurement:
     def fourier(cls, d: int, labels=None) -> "Measurement":
         """Fourier ("X") basis measurement; outcome k labeled ``labels[k]``."""
         return cls.from_basis([fourier_ket(d, k) for k in range(d)], labels)
-
-    @classmethod
-    def from_subspaces(cls, d: int, groups, labels=None) -> "Measurement":
-        """PVM from disjoint groups of computational-basis indices."""
-        projs = []
-        for group in groups:
-            p = np.zeros((d, d), dtype=complex)
-            for i in group:
-                p[i, i] = 1.0
-            projs.append(p)
-        if labels is None:
-            labels = range(len(projs))
-        return cls(tuple(projs), tuple(labels))
 
     @property
     def dim(self) -> int:

@@ -219,7 +219,7 @@ def test_criterion_8_property_suites():
         bell = chsh_lift.bell_pair_ket()
         for _ in range(n):
             a = q.random_unitary(2, rng)
-            assert np.max(np.abs(q.tensor(a.T, q.I2) @ bell - q.tensor(q.I2, a) @ bell)) <= 1e-12
+            assert np.max(np.abs(np.kron(a.T, q.I2) @ bell - np.kron(q.I2, a) @ bell)) <= 1e-12
 
         # Basis-change invariance of evaluate.
         rng = np.random.default_rng(805)

@@ -274,8 +274,8 @@ def test_property_transpose_identity_on_bell_pair():
     bell = chsh_lift.bell_pair_ket()
     for _ in range(N_PROPERTY):
         a = q.random_unitary(2, rng)
-        left = q.tensor(a.T, q.I2) @ bell
-        right = q.tensor(q.I2, a) @ bell
+        left = np.kron(a.T, q.I2) @ bell
+        right = np.kron(q.I2, a) @ bell
         assert np.max(np.abs(left - right)) <= 1e-12
 
 
@@ -296,7 +296,7 @@ def test_property_teleported_residual_state():
     x_kets = {0: q.plus_ket(), 1: q.minus_ket()}
     for _ in range(N_PROPERTY):
         a = q.random_unitary(2, rng)
-        state = (q.tensor(a.T, q.I2) @ bell).reshape(2, 2)
+        state = (np.kron(a.T, q.I2) @ bell).reshape(2, 2)
         for x, ket in x_kets.items():
             residual = ket.conj() @ state
             target = a @ (np.linalg.matrix_power(np.asarray(q.Z), x) @ q.plus_ket()) / np.sqrt(2)

@@ -154,6 +154,55 @@ def test_value_rejects_bad_dimension(capsys):
     assert "dimension" in err
 
 
+def test_value_rejects_a_dimension_its_setting_does_not_take(capsys):
+    # Each of these once ran at the setting's own dimension with exit 0.
+    for setting, dimension, allowed in (("clifford", "3", "(2,)"), ("irreversible", "7", "(2,)"),
+                                        ("qutrit-q3", "2", "(3,)")):
+        rc, out, err = run_cli(capsys, "value", "--setting", setting, "--dimension", dimension)
+        assert_usage_error(rc, out, err)
+        assert f"supports dimensions {allowed}, got {dimension}" in err
+
+
+def test_value_accepts_the_dimension_of_its_setting(capsys, schema):
+    # A given dimension that the setting takes changes nothing in the output.
+    for setting, dimension in (("clifford", "2"), ("irreversible", "2"), ("qutrit-q3", "3")):
+        rc, out, _ = run_cli(capsys, "value", "--setting", setting, "--dimension", dimension,
+                             "--format", "json")
+        assert rc == 0
+        validate(json.loads(out), schema)
+        assert json.loads(out)["dimension"] == int(dimension)
+        assert run_cli(capsys, "value", "--setting", setting, "--format", "json") == (0, out, "")
+
+
+def test_value_reversible_runs_at_dimension_2_unless_given_3(capsys):
+    runs = {d: run_cli(capsys, "value", "--setting", "reversible", *d, "--format", "json")
+            for d in ((), ("--dimension", "2"), ("--dimension", "3"))}
+    assert runs[()] == runs[("--dimension", "2")]
+    assert [json.loads(out)["dimension"] for _, out, _ in runs.values()] == [2, 2, 3]
+    assert json.loads(runs[("--dimension", "3")][1])["value"] == 1.0
+
+
+def test_schema_refuses_witness_forms_that_no_setting_produces(capsys, schema):
+    # Kraus and ERASE gates, an unnamed density, unnamed projectors and
+    # stochastic classical gates were once allowed; every setting's witness
+    # is unitary with named states and measurements, or function tables.
+    for setting in ("clifford", "irreversible"):
+        _, out, _ = run_cli(capsys, "value", "--setting", setting, "--format", "json")
+        payload = json.loads(out)
+        validate(payload, schema)
+        w = payload["witness"]
+        if w["type"] == "quantum":
+            matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+            changes = ({"a_gates": {**w["a_gates"], "0": {"kraus": [matrix]}}},
+                       {"initial": {"density": matrix}},
+                       {"measurement": {"labels": [0, 1], "projectors": [matrix, matrix]}})
+        else:
+            changes = ({"b_gates": {**w["b_gates"], "0": [[0.5, 0.5], [0.5, 0.5]]}},)
+        for change in changes:
+            with pytest.raises(jsonschema.ValidationError):
+                validate({**payload, "witness": {**w, **change}}, schema)
+
+
 def test_json_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "value", "--setting", "clifford", "--format", "json")
     _, second, _ = run_cli(capsys, "value", "--setting", "clifford", "--format", "json")

@@ -343,6 +343,44 @@ def test_classical_strategy_rejects_non_integer_symbols():
             _classical(**changes)
 
 
+def test_classical_strategy_rejects_a_non_integer_number_of_symbols():
+    # Each once failed with a TypeError: at construction from the function
+    # tables, or, with matrix gates, only later in evaluate_classical.
+    eye = np.eye(2)
+    for gates in (dict(a_gates={0: (0, 1), 1: (1, 0)}, b_gates={0: (0, 0), 1: (0, 1)}),
+                  dict(a_gates={0: eye, 1: eye}, b_gates={0: eye, 1: eye})):
+        for num_symbols in (2.0, "2", None):
+            with pytest.raises(ValueError) as raised:
+                _classical(num_symbols=num_symbols, **gates)
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == f"number of symbols {num_symbols!r} is not an integer"
+
+
+def test_classical_strategy_keeps_a_numpy_integer_number_of_symbols_as_an_int():
+    eye = np.eye(2)
+    for gates in (dict(), dict(a_gates={0: eye, 1: eye}, b_gates={0: eye, 1: eye})):
+        cs = _classical(num_symbols=np.int64(2), **gates)
+        assert type(cs.num_symbols) is int and cs.num_symbols == 2
+        assert game.evaluate_classical(game.GameSpec(2), cs) == \
+            game.evaluate_classical(game.GameSpec(2), _classical(**gates))
+
+
+def test_evaluate_classical_rejects_strategies_that_do_not_fit_the_game():
+    # Gate coverage is checked before the readout labels, A before B.
+    cases = (
+        (dict(a_gates={0: (0, 1)}), "A gates missing for inputs [1]"),
+        (dict(b_gates={1: (0, 1)}), "B gates missing for inputs [0]"),
+        (dict(readout=(0, 2)), "readout labels [2] outside range(0, 2)"),
+        (dict(a_gates={1: (0, 1)}, b_gates={0: (0, 1)}, readout=(3, 2)), "A gates missing for inputs [0]"),
+        (dict(b_gates={0: (0, 1)}, readout=(3, 2)), "B gates missing for inputs [1]"),
+    )
+    for changes, message in cases:
+        with pytest.raises(ValueError) as raised:
+            game.evaluate_classical(game.GameSpec(2), _classical(**changes))
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
+
 def test_classical_strategy_accepts_numpy_integer_symbols():
     plain = game.evaluate_classical(game.GameSpec(2), _classical())
     cs = _classical(

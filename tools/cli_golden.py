@@ -50,6 +50,7 @@ COMMANDS = [
     *(({}, ["value", "--setting", *s, "--format", f]) for s in _VALUE_SETTINGS for f in ("json", "text")),
     ({}, ["value", "--setting", "unitary", "--max-iterations", "1", "--format", "json"]),
     ({}, ["value", "--setting", "irreversible", "--seed", "3", "--format", "json"]),
+    ({}, ["value", "--setting", "irreversible", "--dimension", "2", "--format", "json"]),
     *(({}, ["verify-lemma1", "--n-random", "5", *tol, "--format", f])
       for tol in ([], ["--tol", "1e-16"]) for f in ("json", "text")),
     ({"CHSHSTAR_SEED": "777"}, ["verify-lemma1", "--n-random", "3", "--format", "json"]),
@@ -78,6 +79,8 @@ COMMANDS = [
     ({}, ["landauer", "--target", "0.5"]),
     ({}, ["landauer", "--target", "abc"]),
     ({}, ["value", "--setting", "reversible", "--dimension", "5"]),
+    ({}, ["value", "--setting", "clifford", "--dimension", "3"]),
+    ({}, ["value", "--setting", "qutrit-q3", "--dimension", "2"]),
     ({}, ["value", "--setting", "clifford-plus-rz", "--epsilon", "2.0"]),
     ({}, ["value", "--setting", "clifford", "--epsilon", "0.5"]),
     ({}, ["value", "--setting", "clifford", "--format", "csv"]),
