@@ -231,10 +231,8 @@ _SETTING_CLI = {
 
 
 def cmd_value(args) -> tuple[dict, list[str], bool]:
-    kind = _SETTING_CLI[args.setting]
-    # Without --dimension, the setting's own (its first); SettingSpec judges a given one.
-    dimension = settings.SETTINGS[kind][0][0] if args.dimension is None else args.dimension
-    setting = settings.SettingSpec(kind=kind, dimension=dimension, epsilon=args.epsilon)
+    setting = settings.SettingSpec(kind=_SETTING_CLI[args.setting], dimension=args.dimension,
+                                   epsilon=args.epsilon)
     config = settings.OptimizerConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
@@ -249,7 +247,7 @@ def cmd_value(args) -> tuple[dict, list[str], bool]:
     payload = {
         "command": "value",
         "setting": args.setting,
-        "dimension": dimension,
+        "dimension": setting.dimension,
         "value": float(result.value),
         "symbolic": value_symbol(result.value),
         "method": result.method,
@@ -263,7 +261,7 @@ def cmd_value(args) -> tuple[dict, list[str], bool]:
         payload["epsilon"] = args.epsilon
 
     lines = [
-        f"setting: {args.setting} (d={dimension})",
+        f"setting: {args.setting} (d={setting.dimension})",
         f"value: {_fmt_value(result.value)}",
         f"method: {result.method}",
         f"strategies examined: {result.strategies_examined}",

@@ -129,9 +129,8 @@ def evaluate(spec: GameSpec, s: Strategy) -> EvaluationReport:
     _check_inputs(spec, s.a_gates, s.b_gates, s.measurement.outcome_labels)
 
     per_input: dict[tuple[int, int], float] = {}
-    for a, b in spec.input_pairs():
+    for (a, b), target in zip(spec._pairs, spec._answers):
         rho = apply_channel(s.b_gates[b], apply_channel(s.a_gates[a], s.initial))
-        target = winning_answer(spec, a, b)
         dist = dict(outcome_distribution(s.measurement, rho))
         per_input[(a, b)] = dist.get(target, 0.0)
     average = sum(per_input.values()) / len(per_input)

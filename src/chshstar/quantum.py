@@ -11,10 +11,12 @@ instances it returns.
 Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
-A single qubit object (a ``State`` of a 2x2 density, a ``Channel`` of one
-2x2 Kraus operator) is checked in closed form on the Python scalars of one
-``tolist()`` call; stacks and objects of dimension 3 and up are checked
-vectorized, by the stack checks below.
+A ``State``'s density, of any dimension, and a ``Channel`` of one 2x2 Kraus
+operator are checked on the Python scalars of one ``tolist()`` call (a
+density of dimension 3 and up still takes ``eigvalsh`` for its smallest
+eigenvalue); stacks and every other channel are checked vectorized, by the
+stack checks below.  ``outcome_distribution`` reads one state's outcomes
+from one product and sums them on Python floats.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -138,11 +140,12 @@ def projector(ket: np.ndarray) -> np.ndarray:
 
 
 # Structural checks.  Each works on a stack of shape (n, d, d) and holds only
-# if it holds for every matrix of the stack; one object is checked as the
-# stack of one, ``m[None]``.  Closeness is ``|a - b| <= atol`` entrywise,
-# which, unlike ``np.allclose``, never counts inf or NaN as close.  The
-# stacks are small, so the checks keep numpy calls few: ``_all`` counts
-# instead of reducing, and tolerances are compared as float64 scalars.
+# if it holds for every matrix of the stack; one density and one 2x2 Kraus
+# operator are checked on scalars instead (below).  Closeness is
+# ``|a - b| <= atol`` entrywise, which, unlike ``np.allclose``, never counts
+# inf or NaN as close.  The stacks are small, so the checks keep numpy calls
+# few: ``_all`` counts instead of reducing, and tolerances are compared as
+# float64 scalars.
 
 def _dagger_stack(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
@@ -204,38 +207,57 @@ def check_density_stack(rhos: np.ndarray) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-# The same checks for one qubit object, on Python scalars: numpy's fixed cost
-# per call is most of a stack check of one 2x2 matrix.  A complex modulus is
+# The same checks for one object, on Python scalars: numpy's fixed cost per
+# call is most of a stack check of one small matrix.  A complex modulus is
 # abs() of a Python complex, libm's hypot as ``np.hypot`` takes it; numpy's
 # complex ``np.abs`` may differ from it by an ulp or two, so an entry within
 # a few roundings of its tolerance could be decided differently than by the
 # stack check.  Where the modulus of finite parts overflows, numpy gives inf and
 # Python's abs() raises OverflowError; both fail the check that takes it.
 
-def _check_qubit_density(rho: np.ndarray) -> None:
-    """``check_density_stack(rho[None])`` for one 2x2 density, in closed form on scalars.
+def _check_density(rho: np.ndarray) -> None:
+    """``check_density_stack(rho[None])`` for one d x d density, on scalars.
 
-    The same checks in the same order, with the same messages: every entry
-    Hermitian to ``ATOL_PROB``, the trace's real part a + b within
-    ``ATOL_PROB`` of 1, and tr/2 - hypot((a - b)/2, |rho_10|) at least
-    ``-ATOL_STRUCT``.  Only the moduli may differ from the stack check's,
-    by an ulp or two (see above).
+    The same checks in the same order, with the same messages: Hermitian to
+    ``ATOL_PROB`` (each pair of entries once: rho_ij against conj(rho_ji)
+    and rho_ji against conj(rho_ij) have one modulus), the trace's real part
+    within ``ATOL_PROB`` of 1, and a smallest eigenvalue of at least
+    ``-ATOL_STRUCT``.  The trace is numpy's bit for bit: numpy adds up to
+    three complex entries in order, from 0.0, and a longer diagonal goes
+    through ``_traces``.  A qubit's eigenvalue is tr/2 - hypot((a - b)/2,
+    |rho_10|); a larger density's is ``eigvalsh`` of the stack of one, the
+    call the stack check makes.  Only the moduli may differ from the stack
+    check's, by an ulp or two (see above).
     """
-    (a, c), (r, b) = rho.tolist()
+    rows = rho.tolist()
+    d = len(rows)
     try:
-        hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
-                     and abs(r - c.conjugate()) <= ATOL_PROB and abs(b - b.conjugate()) <= ATOL_PROB)
+        if d == 2:  # unrolled: every qubit evaluation builds eight of these
+            (a, c), (r, b) = rows
+            hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
+                         and abs(b - b.conjugate()) <= ATOL_PROB)
+        else:
+            hermitian = all(abs(row[j] - rows[j][i].conjugate()) <= ATOL_PROB
+                            for i, row in enumerate(rows) for j in range(i, d))
     except OverflowError:
         hermitian = False
     if not hermitian:
         raise ValueError("density matrix is not Hermitian")
-    tr = a.real + b.real
+    if d < 4:
+        tr = 0.0
+        for i, row in enumerate(rows):
+            tr += row[i].real
+    else:
+        tr = float(_traces(rho))
     if not abs(tr - 1.0) <= ATOL_PROB:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    try:
-        lam = tr / 2 - abs(complex((a.real - b.real) / 2, abs(r)))
-    except OverflowError:
-        lam = -math.inf
+    if d == 2:
+        try:
+            lam = tr / 2 - abs(complex((a.real - b.real) / 2, abs(r)))
+        except OverflowError:
+            lam = -math.inf
+    else:
+        lam = np.linalg.eigvalsh(rho[None])[0, 0]
     if lam < -ATOL_STRUCT:
         raise ValueError("density matrix is not positive semidefinite")
 
@@ -297,9 +319,8 @@ class State:
     Like ``Channel`` and ``Measurement``, a state compares and hashes by
     identity: its fields are arrays, which have no single truth value.  It
     keeps a read-only copy of the caller's array, so a later write to that
-    array cannot change a validated state.  A qubit density is checked in
-    closed form on scalars (``_check_qubit_density``), a larger one as the
-    stack of one.
+    array cannot change a validated state, and checks it on scalars
+    (``_check_density``).
     """
 
     density: np.ndarray
@@ -309,10 +330,7 @@ class State:
         if rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
         rho.flags.writeable = False
-        if rho.shape == (2, 2):
-            _check_qubit_density(rho)
-        else:
-            check_density_stack(rho[None])
+        _check_density(rho)
         object.__setattr__(self, "density", rho)
 
     @classmethod
@@ -513,6 +531,18 @@ class Measurement:
 _PAULI_MEASUREMENTS: dict[tuple, Measurement] = {}
 
 
+def _sum_by_label(labels, columns) -> dict:
+    """Label -> its outcomes' columns summed in outcome order, from the first (not 0).
+
+    Both distributions below add through here, so a single state's
+    probabilities are the stack's bit for bit.
+    """
+    agg = {}
+    for label, column in zip(labels, columns):
+        agg[label] = agg[label] + column if label in agg else column
+    return agg
+
+
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
     """Label -> probabilities over a stack of densities, outcomes sharing a label summed.
 
@@ -520,10 +550,7 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     measurement's projector stack with the density stack.  One check runs,
     once per density: the probabilities sum to 1.
     """
-    traces = _traces(m._stack @ rhos[:, None])
-    agg: dict[int, np.ndarray] = {}
-    for i, label in enumerate(m.outcome_labels):
-        agg[label] = agg[label] + traces[:, i] if label in agg else traces[:, i]
+    agg = _sum_by_label(m.outcome_labels, _traces(m._stack @ rhos[:, None]).T)
     total = functools.reduce(operator.add, agg.values())  # from the first label's column, not 0
     ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)
     if not _all(ok):
@@ -532,11 +559,20 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
 
 
 def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
-    """Sorted (label, probability) pairs, outcomes sharing a label summed."""
+    """Sorted (label, probability) pairs, outcomes sharing a label summed.
+
+    ``outcome_probabilities`` for one state, bit for bit, without its stack
+    of one: the traces come from one product of the projector stack with
+    the density and are summed per label on Python floats.  The same check
+    runs, with the same message: the probabilities sum to 1.
+    """
     if m.dim != s.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
-    probs = outcome_probabilities(m, s.density[None])
-    return [(label, float(p[0])) for label, p in sorted(probs.items())]
+    agg = _sum_by_label(m.outcome_labels, _traces(m._stack @ s.density).tolist())
+    total = functools.reduce(operator.add, agg.values())
+    if not abs(total - 1.0) <= ATOL_STRUCT:
+        raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+    return sorted(agg.items())
 
 
 def shift_gate(d: int) -> np.ndarray:

@@ -73,16 +73,21 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """Which physics the player is allowed, and in what dimension."""
+    """Which physics the player is allowed, and in what dimension.
+
+    Without a dimension, the setting's own: the first it supports.
+    """
 
     kind: str
-    dimension: int = 2
+    dimension: int | None = None
     epsilon: float | None = None
 
     def __post_init__(self):
         if self.kind not in SETTINGS:
             raise ValueError(f"unknown setting kind {self.kind!r}")
         allowed, _ = SETTINGS[self.kind]
+        if self.dimension is None:
+            object.__setattr__(self, "dimension", allowed[0])
         if self.dimension not in allowed:
             raise ValueError(
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"

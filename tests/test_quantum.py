@@ -93,18 +93,26 @@ def test_stack_checks_reject_a_single_bad_member():
 
 def test_stack_evaluation_matches_per_state_path_exactly():
     rng = np.random.default_rng(7)
-    us = np.stack([q.random_unitary(2, rng) for _ in range(5)])
-    initial = q.State.from_ket(q.plus_ket())
-    # Each density as game.evaluate_unitary_stack forms it.
-    rhos = us @ initial.density @ us.conj().swapaxes(-1, -2)
-    q.check_density_stack(rhos)
-    for measurement in (q.Measurement.pauli("x"), q.Measurement.pauli("z", labels=(0, 0))):
-        probs = q.outcome_probabilities(measurement, rhos)
-        for k, u in enumerate(us):
-            state = q.apply_channel(q.Channel.unitary(u), initial)
-            assert np.array_equal(rhos[k], state.density)
-            dist = q.outcome_distribution(measurement, state)
-            assert [(label, probs[label][k]) for label in sorted(probs)] == dist
+    for d, measurements in (
+        (2, (q.Measurement.pauli("x"), q.Measurement.pauli("z", labels=(0, 0)))),
+        (3, (q.Measurement.fourier(3), q.Measurement.fourier(3, labels=(0, 1, 1)),
+             q.Measurement.computational(3, (0, 0, 1)))),
+    ):
+        us = np.stack([q.random_unitary(d, rng) for _ in range(5)])
+        initial = q.State.from_ket(q.plus_ket(d))
+        # Each density as game.evaluate_unitary_stack forms it.
+        rhos = us @ initial.density @ us.conj().swapaxes(-1, -2)
+        q.check_density_stack(rhos)
+        for measurement in measurements:
+            probs = q.outcome_probabilities(measurement, rhos)
+            for k, u in enumerate(us):
+                state = q.apply_channel(q.Channel.unitary(u), initial)
+                assert np.array_equal(rhos[k], state.density)
+                dist = q.outcome_distribution(measurement, state)
+                assert all(type(p) is float for _, p in dist)
+                # Bit for bit, signed zeros included.
+                assert [(label, probs[label][k].hex()) for label in sorted(probs)] \
+                    == [(label, p.hex()) for label, p in dist]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +208,7 @@ def test_empty_stacks_pass_every_check(d):
 
 
 # ---------------------------------------------------------------------------
-# Single qubit objects: closed form on scalars, decided as the stack checks
+# Single objects: checked on scalars, decided as the stack checks
 # ---------------------------------------------------------------------------
 
 BIG = 1.7e308  # finite, but the modulus of BIG * (1 + 1j) overflows
@@ -255,6 +263,7 @@ def _qubit_densities_to_check(rng) -> list[np.ndarray]:
         np.array([[0.5, BIG], [BIG, 0.5]]),
         np.array([[0.5 + BIG * 1j, 0.0], [0.0, 0.5]]),
         np.diag([BIG, -BIG]).astype(complex),
+        np.diag([-0.0, -0.0]).astype(complex),  # numpy's trace is 0.0, not -0.0
     ]
     # Traces one ulp apart across 1 +- ATOL_PROB; t - 0.5 + 0.5 is t exactly.
     for t in _ulp_steps(1 + q.ATOL_PROB, 4) + _ulp_steps(1 - q.ATOL_PROB, 4):
@@ -265,6 +274,90 @@ def _qubit_densities_to_check(rng) -> list[np.ndarray]:
         rhos.append(np.diag([low, 1.0 - low]).astype(complex))
     rhos += list(_densities_near_the_psd_bound(rng, 200))
     return rhos
+
+
+def _qutrit_densities_to_check(rng) -> list[np.ndarray]:
+    valid = []
+    for _ in range(100):
+        ket = rng.normal(size=3) + 1j * rng.normal(size=3)
+        pure = q.projector(ket / np.linalg.norm(ket))
+        w = rng.uniform()
+        valid += [pure, w * pure + (1 - w) * np.eye(3) / 3]
+    rhos = list(valid)
+    for rho in valid[:20]:
+        skew = rho.copy()
+        skew[0, 2] += 1e-9
+        v = q.random_unitary(3, rng)
+        negative = v @ np.diag([-0.1, 0.6, 0.5]) @ v.conj().T
+        rhos += [skew, 1.3 * rho, (negative + negative.conj().T) / 2]
+    # Offsets one ulp apart across ATOL_PROB on a diagonal density, where
+    # |rho_ij - conj(rho_ji)| is the offset's own modulus on both paths: a
+    # real or an imaginary off-diagonal entry, or twice half an imaginary
+    # offset on the diagonal.
+    for base in (np.diag([0.5, 0.3, 0.2]), np.eye(3) / 3):
+        for delta in _ulp_steps(q.ATOL_PROB, 3):
+            for offset in (delta, -delta, 1j * delta, -1j * delta):
+                for i in range(3):
+                    for j in range(3):
+                        rho = base.astype(complex)
+                        rho[i, j] += offset / 2 if i == j else offset
+                        rhos.append(rho)
+    # Traces one ulp apart across 1 +- ATOL_PROB, summed exactly as laid out.
+    for t in _ulp_steps(1 + q.ATOL_PROB, 4) + _ulp_steps(1 - q.ATOL_PROB, 4):
+        assert 0.0 + (t - 0.5) + 0.25 + 0.25 == t
+        rhos += [np.diag([t - 0.5, 0.25, 0.25]).astype(complex),
+                 np.diag([0.25, 0.25, t - 0.5]).astype(complex),
+                 np.diag([0.1, 0.2, t - 0.3]).astype(complex)]
+    # Smallest eigenvalues across -ATOL_STRUCT, on the diagonal and rotated.
+    for low in -q.ATOL_STRUCT + 1e-17 * np.arange(-200, 201):
+        rhos.append(np.diag([low, 0.5, 0.5 - low]).astype(complex))
+    for low in -q.ATOL_STRUCT + rng.uniform(-1e-9, 1e-9, size=200):
+        v = q.random_unitary(3, rng)
+        rho = v @ np.diag([low, 0.4, 0.6 - low]) @ v.conj().T
+        rhos.append((rho + rho.conj().T) / 2)
+    for i in range(3):
+        for j in range(3):
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+                for symmetric in (False, True):
+                    rho = np.eye(3, dtype=complex) / 3
+                    rho[i, j] = bad
+                    if symmetric:
+                        rho[j, i] = bad
+                    rhos.append(rho)
+    big = BIG * (1 + 1j)
+    third = 1 / 3
+    rhos += [
+        np.array([[third, big, 0], [np.conj(big), third, 0], [0, 0, third]]),  # Hermitian, overflows later
+        np.array([[third, 0, big], [0, third, 0], [0, 0, third]]),  # |rho_02 - conj(rho_20)| overflows
+        np.array([[third, 0, BIG], [0, third, 0], [BIG, 0, third]]),
+        np.array([[third, 0, 0], [0, third + BIG * 1j, 0], [0, 0, third]]),
+        # The order of the trace's additions decides these: BIG + -BIG + 1
+        # is 1, 1 + BIG + -BIG is 0.
+        np.diag([BIG, -BIG, 1.0]).astype(complex),
+        np.diag([1.0, BIG, -BIG]).astype(complex),
+        np.diag([BIG, 1.0, -BIG]).astype(complex),
+        np.diag([-0.0, -0.0, -0.0]).astype(complex),
+    ]
+    return rhos
+
+
+def _offsets_near_the_hermitian_bound(rng) -> list[np.ndarray]:
+    """Densities with one complex off-diagonal offset of modulus about ATOL_PROB."""
+    rhos = []
+    for d in (2, 3):
+        for phase in np.exp(1j * rng.uniform(0, 2 * np.pi, size=10)):
+            for k in range(-20, 21):
+                rho = np.eye(d, dtype=complex) / d
+                rho[0, d - 1] = q.ATOL_PROB * (1 + k * np.finfo(float).eps) * phase
+                rhos.append(rho)
+    return rhos
+
+
+def _kind(outcome) -> str | None:
+    """An outcome's message, with a trace's value left out."""
+    if outcome is None:
+        return None
+    return "trace" if outcome[1].startswith("density matrix trace is ") else outcome[1]
 
 
 def test_qubit_state_checks_decide_as_the_stack_check():
@@ -278,6 +371,26 @@ def test_qubit_state_checks_decide_as_the_stack_check():
     # Each tolerance is reached from both sides.
     for t, accepted in ((np.nextafter(1 + q.ATOL_PROB, 0), True), (1 + 2 * q.ATOL_PROB, False)):
         assert (_outcome(q.State, np.diag([t - 0.5, 0.5]).astype(complex)) is None) == accepted
+    # Qutrit densities decide as the stack check, message for message.
+    kinds = set()
+    for rho in _qutrit_densities_to_check(np.random.default_rng(1518)):
+        single = _outcome(q.State, rho)
+        assert single == _outcome(q.check_density_stack, rho[None]), rho
+        kinds.add(_kind(single))
+    assert kinds == {None, "density matrix is not Hermitian", "trace",
+                     "density matrix is not positive semidefinite"}
+    for t, accepted in ((np.nextafter(1 + q.ATOL_PROB, 0), True), (1 + 2 * q.ATOL_PROB, False)):
+        assert (_outcome(q.State, np.diag([t - 0.5, 0.25, 0.25]).astype(complex)) is None) == accepted
+    # A complex modulus here is libm's hypot, in the stack check numpy's abs:
+    # the two may decide differently, but only within 2 ulps of ATOL_PROB.
+    decided = set()
+    for rho in _offsets_near_the_hermitian_bound(np.random.default_rng(1519)):
+        single = _outcome(q.State, rho)
+        if single != _outcome(q.check_density_stack, rho[None]):
+            deviation = np.abs(rho - rho.conj().T).max()
+            assert abs(deviation - q.ATOL_PROB) <= 2 * np.spacing(q.ATOL_PROB)
+        decided.add(_kind(single))
+    assert decided == {None, "density matrix is not Hermitian"}
 
 
 def test_qubit_state_reports_an_overflowing_modulus_as_not_psd():

@@ -693,6 +693,13 @@ def test_setting_spec_validation():
     settings.SettingSpec(kind="clifford_plus_rz", dimension=2, epsilon=0.3)
 
 
+def test_setting_spec_defaults_to_the_settings_own_dimension():
+    assert settings.SettingSpec(kind="qutrit_unitary_fixed").dimension == 3
+    assert settings.SettingSpec(kind="classical_q3_reversible").dimension == 3
+    assert settings.SettingSpec(kind="classical_reversible").dimension == 2
+    assert settings.SettingSpec(kind="classical_reversible", dimension=3).dimension == 3
+
+
 def test_compute_value_dispatch():
     spec = settings.SettingSpec(kind="clifford_plus_rz", dimension=2, epsilon=np.pi / 4)
     result = settings.compute_value(spec)
