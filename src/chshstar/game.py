@@ -263,10 +263,9 @@ def evaluate_classical(spec: GameSpec, cs: ClassicalStrategy) -> EvaluationRepor
     p0 = np.zeros(cs.num_symbols)
     p0[cs.initial] = 1.0
     per_input: dict[tuple[int, int], float] = {}
-    for a, b in spec.input_pairs():
-        p = cs.b_gates[b] @ (cs.a_gates[a] @ p0)
-        target = winning_answer(spec, a, b)
-        per_input[(a, b)] = float(sum(p[s] for s in range(cs.num_symbols) if cs.readout[s] == target))
+    for (a, b), target in zip(spec._pairs, spec._answers):
+        p = (cs.b_gates[b] @ (cs.a_gates[a] @ p0)).tolist()
+        per_input[(a, b)] = float(sum(x for x, label in zip(p, cs.readout) if label == target))
     average = sum(per_input.values()) / len(per_input)
     return EvaluationReport(per_input=per_input, average=average)
 

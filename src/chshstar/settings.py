@@ -1,11 +1,12 @@
 """Game values per physical setting: exhaustive enumeration or optimization.
 
 Finite settings (Clifford, classical reversible/irreversible, classical
-mod-3) are searched exhaustively; the unitary setting is optimized by
-gradient-based L-BFGS-B with seeded restarts over the Bloch angles of the
-normal form's four Bloch vectors, with the gradient in closed form.  Every
-returned witness is re-evaluated through the generic evaluators as a
-consistency check before the result is handed back.
+mod-3) are searched exhaustively; the unitary setting is optimized over the
+Bloch angles of the normal form's four Bloch vectors by seeded restarts, each
+a closed-form see-saw of best responses whose end point L-BFGS-B, on the
+closed-form gradient, checks for stationarity.  Every returned witness is
+re-evaluated through the generic evaluators as a consistency check before
+the result is handed back.
 """
 
 from __future__ import annotations
@@ -417,6 +418,61 @@ def _bloch(theta: float, phi: float) -> tuple[tuple, tuple, tuple]:
     return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
 
 
+def _bloch_angles(v: tuple) -> tuple[float, float]:
+    """The Bloch angles (theta, phi) of the unit vector ``v``, z clipped to [-1, 1]."""
+    return math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0])
+
+
+def _best_response(u: tuple, w: tuple) -> tuple[tuple, float] | None:
+    """The pair (unit(u + w), unit(u - w)) and the sum it reaches, |u + w| + |u - w|.
+
+    Over unit vectors r_0, r_1 it maximizes (u + w) . r_0 + (u - w) . r_1,
+    each term by its own r.  None when u + w or u - w is the zero vector, whose unit
+    is undefined.
+    """
+    pm = _sum_and_difference(u, w)
+    norms = [math.hypot(*v) for v in pm]
+    if not (norms[0] and norms[1]):
+        return None
+    pair = tuple((v[0] / n, v[1] / n, v[2] / n) for v, n in zip(pm, norms))
+    return pair, norms[0] + norms[1]
+
+
+def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int]:
+    """The see-saw of best responses from the 8 Bloch angles ``x0``.
+
+    With (n_0, n_1, m_0, m_1) as in ``_objective``, the sum
+    sum_ab (-1)^{ab} n_a . m_b is raised by the B response
+    m_b = unit(n_0 + (-1)^b n_1), then the A response
+    n_a = unit(m_0 + (-1)^a m_1), alternately (Werner & Wolf, Quantum Inf.
+    Comput. 1, 1 (2001)).  It stops at the first response that does not
+    raise the sum, which is not taken, at the first sum or difference that
+    is the zero vector (only the start can have one: after a response its
+    pair is orthogonal), or after ``budget`` responses.  Returns the angles
+    (``_bloch_angles`` of each moved vector, ``x0``'s own for the rest), the
+    sum there and the number of responses computed.
+    """
+    x = x0.tolist()
+    vectors = [_bloch(x[k], x[k + 1])[0] for k in (0, 2, 4, 6)]
+    m_pm = _sum_and_difference(vectors[2], vectors[3])
+    total = _dot(vectors[0], m_pm[0]) + _dot(vectors[1], m_pm[1])
+    responses = 0
+    while responses < budget:
+        # Even responses move (m_0, m_1) against (n_0, n_1), odd ones the reverse.
+        given, moved = (0, 2) if responses % 2 == 0 else (2, 0)
+        response = _best_response(vectors[given], vectors[given + 1])
+        if response is None:
+            break
+        responses += 1
+        pair, reached = response
+        if not reached > total:
+            break
+        vectors[moved:moved + 2] = pair
+        x[2 * moved:2 * moved + 4] = [angle for v in pair for angle in _bloch_angles(v)]
+        total = reached
+    return np.array(x), total, responses
+
+
 def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
     """Minus the average win of ``_bloch_strategy(angles)``, and its gradient.
 
@@ -426,8 +482,9 @@ def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
     probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
     1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
     rounding stays below the ulp of 1/2.  Each partial derivative replaces
-    one vector in that sum by its own partial.  This is the optimizer's inner
-    loop, so it runs on Python floats.
+    one vector in that sum by its own partial.  L-BFGS-B calls it on 8
+    angles at a time, where numpy's per-call overhead would dominate, so it
+    runs on Python floats.
     """
     x = angles.tolist()
     n0, n1, m0, m1 = (_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6))
@@ -475,12 +532,18 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
     qubit, since the initial state and the measurement basis can be absorbed
     into the gates.  Its average win depends on the gates only through the
     Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
-    their 8 Bloch angles: gradient-based L-BFGS-B with seeded restarts, on
-    ``_objective``'s value and closed-form gradient; ``initial_points`` adds
-    explicit extra starts.  The witness is ``_bloch_strategy`` of the best
-    angles.  ``converged`` of the result is the success flag of the best
-    restart, and ``strategies_examined`` counts the objective-and-gradient
-    evaluations of all restarts.
+    their 8 Bloch angles, from seeded uniform starts; ``initial_points`` adds
+    explicit extra starts.  Each start runs ``_seesaw`` and hands its end
+    point to L-BFGS-B on ``_objective``'s value and closed-form gradient.
+    At a see-saw fixed point the gradient is already below ``gtol``, so
+    L-BFGS-B stops after one evaluation; from a point the see-saw could not
+    move (a zero sum or difference) or one it left early, L-BFGS-B takes
+    over.  ``config.max_iterations`` caps both the see-saw's responses and
+    L-BFGS-B's iterations per restart.  The witness is ``_bloch_strategy``
+    of the best angles.  ``converged`` of the result is the success flag of
+    the best restart, and ``strategies_examined`` counts the see-saw's
+    responses and L-BFGS-B's objective-and-gradient evaluations over all
+    restarts.
     """
     config = config or OptimizerConfig()
     n_params = 8
@@ -493,14 +556,15 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
     for x0 in starts:
         if x0.shape != (n_params,):
             raise ValueError(f"start point must have {n_params} angles, got {x0.shape}")
+        point, _, responses = _seesaw(x0, config.max_iterations)
         res = minimize(
             _objective,
-            x0,
+            point,
             method="L-BFGS-B",
             jac=True,
             options={"maxiter": config.max_iterations, "ftol": config.tolerance, "gtol": 1e-8},
         )
-        evaluations += int(res.nfev)
+        evaluations += responses + int(res.nfev)
         if -res.fun > best_val:
             best_val, best_angles, converged = -res.fun, res.x, bool(res.success)
 

@@ -393,6 +393,44 @@ def test_classical_strategy_accepts_numpy_integer_symbols():
     assert plain.average == 1.0
 
 
+def _evaluate_classical_per_pair(spec, cs):
+    """evaluate_classical's earlier loop: numpy scalars summed per pair by symbol index."""
+    p0 = np.zeros(cs.num_symbols)
+    p0[cs.initial] = 1.0
+    per_input = {}
+    for a, b in spec.input_pairs():
+        p = cs.b_gates[b] @ (cs.a_gates[a] @ p0)
+        target = game.winning_answer(spec, a, b)
+        per_input[(a, b)] = float(sum(p[s] for s in range(cs.num_symbols) if cs.readout[s] == target))
+    return per_input, sum(per_input.values()) / len(per_input)
+
+
+def test_evaluate_classical_matches_the_per_pair_loop_exactly():
+    rng = np.random.default_rng(61)
+    for qq in (2, 3):
+        spec = game.GameSpec(qq)
+        for d in (2, 3, 4):
+            for _ in range(100):
+                def gate():
+                    if rng.random() < 0.5:
+                        return tuple(int(i) for i in rng.integers(d, size=d))
+                    return rng.dirichlet(np.ones(d), size=d).T
+                cs = game.ClassicalStrategy(
+                    num_symbols=d,
+                    initial=int(rng.integers(d)),
+                    a_gates={a: gate() for a in range(qq)},
+                    b_gates={b: gate() for b in range(qq)},
+                    readout=tuple(int(c) for c in rng.integers(qq, size=d)),
+                )
+                report = game.evaluate_classical(spec, cs)
+                per_input, average = _evaluate_classical_per_pair(spec, cs)
+                assert list(report.per_input) == list(per_input)
+                assert all(type(v) is float for v in report.per_input.values())
+                assert [v.hex() for v in report.per_input.values()] == \
+                    [v.hex() for v in per_input.values()]
+                assert report.average.hex() == average.hex()
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

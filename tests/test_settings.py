@@ -240,7 +240,7 @@ def test_value_unitary_reaches_tsirelson():
 def test_value_unitary_never_exceeds_tsirelson():
     # The optimizer's own best number can lie an ulp or two above the bound;
     # the reported value is the exact evaluation of the witness.
-    for seed in (0, 1, 3):
+    for seed in [*range(30), 12345]:
         result = settings.value_unitary(settings.OptimizerConfig(seed=seed))
         assert result.value <= math.cos(math.pi / 8) ** 2
         assert result.value == game.evaluate(game.GameSpec(2), result.witness).average
@@ -299,6 +299,85 @@ def test_value_unitary_rejects_a_start_point_of_the_wrong_length():
 def test_value_unitary_reports_non_convergence():
     short = settings.value_unitary(settings.OptimizerConfig(max_iterations=1))
     assert short.converged is False
+
+
+def _unit(v):
+    return tuple(c / np.linalg.norm(v) for c in v)
+
+
+def test_best_response_beats_perturbed_responses():
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        u, w = (_unit(rng.normal(size=3)) for _ in range(2))
+        (r0, r1), reached = settings._best_response(u, w)
+        assert abs(np.linalg.norm(r0) - 1) <= 1e-15 and abs(np.linalg.norm(r1) - 1) <= 1e-15
+        plus, minus = settings._sum_and_difference(u, w)
+        assert abs(reached - (settings._dot(plus, r0) + settings._dot(minus, r1))) <= 1e-15
+        for scale in 10.0 ** rng.uniform(-4, 0, size=200):
+            p0 = _unit(np.array(r0) + scale * rng.normal(size=3))
+            p1 = _unit(np.array(r1) + scale * rng.normal(size=3))
+            assert reached >= settings._dot(plus, p0) + settings._dot(minus, p1)
+
+
+def test_best_response_to_a_parallel_pair_is_undefined():
+    x = (1.0, 0.0, 0.0)
+    assert settings._best_response(x, x) is None
+    assert settings._best_response(x, (-1.0, 0.0, 0.0)) is None
+
+
+def test_seesaw_sum_is_the_objective_at_its_angles():
+    rng = np.random.default_rng(71)
+    for i in range(200):
+        x0 = rng.uniform(0.0, 2 * np.pi, size=8)
+        budget = (1, 2, 3, 4000)[i % 4]
+        point, total, responses = settings._seesaw(x0, budget)
+        assert point.shape == (8,) and 1 <= responses <= budget
+        assert abs((0.5 + total / 8) + settings._objective(point)[0]) <= 1e-15
+        if budget == 4000:
+            assert abs((0.5 + total / 8) - TSIRELSON) <= 1e-15
+
+
+def test_seesaw_hands_a_start_with_a_zero_sum_or_difference_on_unchanged():
+    # n_0 = n_1 exactly: all along z, or equal angles.
+    parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
+    for x0 in (np.zeros(8), parallel):
+        point, _, responses = settings._seesaw(x0, 4000)
+        assert np.array_equal(point, x0) and responses == 0
+
+
+def test_value_unitary_converges_from_degenerate_starts():
+    # n_0 = -n_1 up to rounding: the Bloch angles of the antipode are (pi - theta, phi + pi).
+    antiparallel = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
+    parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
+    for x0 in (np.zeros(8), parallel, antiparallel):
+        result = settings.value_unitary(initial_points=[x0])
+        assert result.converged is True
+        assert TSIRELSON - 1e-15 <= result.value <= math.cos(math.pi / 8) ** 2
+
+
+def test_value_unitary_hands_each_seesaw_point_to_minimize(monkeypatch):
+    calls = []
+    minimize = settings.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        calls.append((fun, x0, kwargs["options"]["maxiter"], res.nfev))
+        return res
+
+    monkeypatch.setattr(settings, "minimize", recording)
+    config = settings.OptimizerConfig(seed=3, max_iterations=50)
+    start = np.array(settings.OPTIMAL_UNITARY_ANGLES)
+    result = settings.value_unitary(config, initial_points=[start])
+    rng = np.random.default_rng(3)
+    starts = [start] + [rng.uniform(0.0, 2 * np.pi, size=8) for _ in range(32)]
+    assert len(calls) == len(starts)
+    responses = 0
+    for (fun, x0, maxiter, _), s in zip(calls, starts):
+        point, _, n = settings._seesaw(s, 50)
+        assert fun is settings._objective and maxiter == 50
+        assert np.array_equal(x0, point)
+        responses += n
+    assert result.strategies_examined == responses + sum(nfev for *_, nfev in calls)
 
 
 def test_objective_is_minus_the_evaluated_average():
