@@ -17,10 +17,11 @@ writes ``--output``, prints and picks the exit code; commands raise
 
 ``value --dimension`` defaults to the setting's own dimension (2 for
 ``reversible``, which also takes 3); a dimension the setting does not take
-is a usage error.  A witness is shown as function tables (classical) or by
-the names of its initial state, measurement and unitary gates, with a gate
-no name fits given as its raw matrix.  Names and symbolic values are
-recognized to ``ATOL_NAME`` (1e-9).
+is a usage error.  ``value --setting unitary`` runs the optimizer's 32 seeded
+restarts, each capped by ``--max-iterations``.  A witness is shown as
+function tables (classical) or by the names of its initial state,
+measurement and unitary gates, with a gate no name fits given as its raw
+matrix.  Names and symbolic values are recognized to ``ATOL_NAME`` (1e-9).
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
@@ -233,12 +234,7 @@ _SETTING_CLI = {
 def cmd_value(args) -> tuple[dict, list[str], bool]:
     setting = settings.SettingSpec(kind=_SETTING_CLI[args.setting], dimension=args.dimension,
                                    epsilon=args.epsilon)
-    config = settings.OptimizerConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
+    config = settings.OptimizerConfig(max_iterations=args.max_iterations, seed=args.seed)
     t0 = time.perf_counter()
     result = settings.compute_value(setting, config)
     elapsed = time.perf_counter() - t0
@@ -516,9 +512,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=None,
                    help="the setting's dimension: 2 or 3 for reversible (default 2), its own otherwise")
     p.add_argument("--epsilon", type=float, default=None, help="for --setting clifford-plus-rz")
-    p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iterations", type=int, default=4000)
-    p.add_argument("--tolerance", type=float, default=1e-12)
     add_common(p, cmd_value)
 
     p = sub.add_parser("verify-lemma1", help="check the two-player equivalence numerically")

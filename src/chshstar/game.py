@@ -20,6 +20,7 @@ from .quantum import (
     Measurement,
     State,
     _dagger_stack,
+    _integers,
     apply_channel,
     basis_ket,
     check_density_stack,
@@ -178,14 +179,6 @@ def evaluate_unitary_stack(
     return per_input
 
 
-def _symbols(values) -> tuple[int, ...] | None:
-    """The values as Python ints, or None unless every one is an integer (numpy's too)."""
-    try:
-        return tuple(operator.index(v) for v in values)
-    except TypeError:
-        return None
-
-
 def stochastic_matrix(gate, d: int) -> np.ndarray:
     """Normalize a classical gate to a new, read-only left-stochastic d x d matrix.
 
@@ -195,7 +188,7 @@ def stochastic_matrix(gate, d: int) -> np.ndarray:
     """
     arr = np.asarray(gate)
     if arr.ndim == 1:
-        images = _symbols(arr) if arr.shape == (d,) else None
+        images = _integers(arr) if arr.shape == (d,) else None
         if images is None or not all(0 <= i < d for i in images):
             raise ValueError(f"function table {gate!r} is not a map on {d} symbols")
         m = np.zeros((d, d))
@@ -241,7 +234,7 @@ class ClassicalStrategy:
             raise ValueError(f"initial symbol {self.initial} outside range({d})")
         if len(self.readout) != d:
             raise ValueError(f"readout must label all {d} symbols")
-        readout = _symbols(self.readout)
+        readout = _integers(self.readout)
         if readout is None:
             raise ValueError(f"readout {self.readout!r} has a label that is not an integer")
         object.__setattr__(self, "num_symbols", d)

@@ -11,6 +11,7 @@ instances it returns.
 Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
+Every complex modulus in a check is libm's ``hypot`` of its parts.
 A ``State``'s density, of any dimension, and a ``Channel`` of one 2x2 Kraus
 operator are checked on the Python scalars of one ``tolist()`` call (a
 density of dimension 3 and up still takes ``eigvalsh`` for its smallest
@@ -126,6 +127,14 @@ def pauli_eigenstates() -> dict[str, np.ndarray]:
     return {name: ket.copy() for name, ket in _PAULI_KETS.items()}
 
 
+def _integers(values) -> tuple[int, ...] | None:
+    """The values as Python ints, or None unless every one is an integer (numpy's too)."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        return None
+
+
 def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -143,9 +152,10 @@ def projector(ket: np.ndarray) -> np.ndarray:
 # if it holds for every matrix of the stack; one density and one 2x2 Kraus
 # operator are checked on scalars instead (below).  Closeness is
 # ``|a - b| <= atol`` entrywise, which, unlike ``np.allclose``, never counts
-# inf or NaN as close.  The stacks are small, so the checks keep numpy calls
-# few: ``_all`` counts instead of reducing, and tolerances are compared as
-# float64 scalars.
+# inf or NaN as close; a complex modulus is ``np.hypot`` of its parts, libm's
+# hypot, as Python's abs() takes it.  The stacks are small, so the checks keep
+# numpy calls few: ``_all`` counts instead of reducing, and tolerances are
+# compared as float64 scalars.
 
 def _dagger_stack(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
@@ -165,7 +175,8 @@ def _all(ok: np.ndarray) -> bool:
 
 
 def _close(a: np.ndarray, b, atol: float) -> bool:
-    return _all(np.abs(a - b) <= np.float64(atol))
+    d = a - b
+    return _all(np.hypot(d.real, d.imag) <= np.float64(atol))
 
 
 @functools.cache
@@ -200,7 +211,8 @@ def check_density_stack(rhos: np.ndarray) -> None:
         raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
     if rhos.shape[-1] == 2:
         # tr is a + b exactly: the trace of a 2x2 matrix is one addition.
-        lam = tr / 2 - np.hypot((rhos[:, 0, 0] - rhos[:, 1, 1]).real / 2, np.abs(rhos[:, 1, 0]))
+        r = rhos[:, 1, 0]
+        lam = tr / 2 - np.hypot((rhos[:, 0, 0] - rhos[:, 1, 1]).real / 2, np.hypot(r.real, r.imag))
     else:
         lam = np.linalg.eigvalsh(rhos)[:, 0]
     if np.count_nonzero(lam < np.float64(-ATOL_STRUCT)):
@@ -209,11 +221,9 @@ def check_density_stack(rhos: np.ndarray) -> None:
 
 # The same checks for one object, on Python scalars: numpy's fixed cost per
 # call is most of a stack check of one small matrix.  A complex modulus is
-# abs() of a Python complex, libm's hypot as ``np.hypot`` takes it; numpy's
-# complex ``np.abs`` may differ from it by an ulp or two, so an entry within
-# a few roundings of its tolerance could be decided differently than by the
-# stack check.  Where the modulus of finite parts overflows, numpy gives inf and
-# Python's abs() raises OverflowError; both fail the check that takes it.
+# abs() of a Python complex, libm's hypot, the stack checks' ``np.hypot``.
+# Where the modulus of finite parts overflows, numpy gives inf and Python's
+# abs() raises OverflowError; both fail the check that takes it.
 
 def _check_density(rho: np.ndarray) -> None:
     """``check_density_stack(rho[None])`` for one d x d density, on scalars.
@@ -226,8 +236,8 @@ def _check_density(rho: np.ndarray) -> None:
     three complex entries in order, from 0.0, and a longer diagonal goes
     through ``_traces``.  A qubit's eigenvalue is tr/2 - hypot((a - b)/2,
     |rho_10|); a larger density's is ``eigvalsh`` of the stack of one, the
-    call the stack check makes.  Only the moduli may differ from the stack
-    check's, by an ulp or two (see above).
+    call the stack check makes.  So it decides every density as the stack
+    check does.
     """
     rows = rho.tolist()
     d = len(rows)
@@ -454,7 +464,8 @@ class Measurement:
     (P_i P_j = 0 for i != j), both read off one product of every pair;
     summing to the identity.  The validated stack is kept read-only as
     ``_stack`` (n, d, d), and ``projectors`` holds views of it, so
-    ``outcome_probabilities`` never re-stacks them.
+    ``outcome_probabilities`` never re-stacks them.  The labels must be
+    integers (Python's or numpy's) and are kept as Python ints.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -467,6 +478,11 @@ class Measurement:
             raise ValueError("measurement needs at least one projector")
         if len(projs) != len(self.outcome_labels):
             raise ValueError("one label per projector is required")
+        labels = _integers(self.outcome_labels)
+        if labels is None:
+            raise ValueError(
+                f"outcome labels {tuple(self.outcome_labels)!r} include one that is not an integer"
+            )
         d = projs[0].shape[0]
         if any(p.shape != (d, d) for p in projs):
             raise ValueError("all projectors must share one dimension")
@@ -482,7 +498,7 @@ class Measurement:
         if not _close(ps.sum(axis=0), _eye(d), ATOL_STRUCT):
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", tuple(ps))
-        object.__setattr__(self, "outcome_labels", tuple(int(c) for c in self.outcome_labels))
+        object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "_stack", ps)
 
     @classmethod
@@ -496,7 +512,8 @@ class Measurement:
     def pauli(cls, axis: str, labels=(0, 1)) -> "Measurement":
         """X/Y/Z measurement; the + eigenstate carries ``labels[0]``.
 
-        Each (axis, labels) is built and validated once, on first use.
+        Each (axis, labels), with the labels read as ints, is built and
+        validated once, on first use.
         Every call returns a new instance that shares that one's read-only
         projector stack, so instances still compare by identity.
         """
@@ -505,12 +522,12 @@ class Measurement:
             raise ValueError(f"unknown Pauli axis {axis!r}")
         kets = [_PAULI_KETS[axis + "+"], _PAULI_KETS[axis + "-"]]
         labels = tuple(range(2) if labels is None else labels)  # None: from_basis's default
-        try:
-            validated = _PAULI_MEASUREMENTS.get((cls, axis, labels))
-        except TypeError:  # unhashable labels: built, and judged, by the constructor
+        key = _integers(labels)
+        if key is None:  # a label that is not an integer: judged by the constructor
             return cls.from_basis(kets, labels)
+        validated = _PAULI_MEASUREMENTS.get((cls, axis, key))
         if validated is None:
-            validated = _PAULI_MEASUREMENTS[cls, axis, labels] = cls.from_basis(kets, labels)
+            validated = _PAULI_MEASUREMENTS[cls, axis, key] = cls.from_basis(kets, key)
         return copy.copy(validated)
 
     @classmethod

@@ -2,9 +2,10 @@
 
 Finite settings (Clifford, classical reversible/irreversible, classical
 mod-3) are searched exhaustively; the unitary setting is optimized over the
-Bloch angles of the normal form's four Bloch vectors by seeded restarts, each
-a closed-form see-saw of best responses whose end point L-BFGS-B, on the
-closed-form gradient, checks for stationarity.  Every returned witness is
+Bloch angles of the normal form's four Bloch vectors by 32 seeded restarts,
+each a closed-form see-saw of best responses whose end point L-BFGS-B, on the
+closed-form gradient, checks for stationarity; ``OptimizerConfig`` sets only
+the budget per restart and the seed.  Every returned witness is
 re-evaluated through the generic evaluators as a consistency check before
 the result is handed back.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,10 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
+# The unitary optimizer's seeded starts, and L-BFGS-B's ftol (inert at their see-saw fixed points).
+UNITARY_RESTARTS = 32
+LBFGSB_FTOL = 1e-12
+
 # Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
 # strategy: n_a is the Bloch vector of A_a|+>, m_b that of B_b^+|+>.
 OPTIMAL_UNITARY_ANGLES = (
@@ -58,18 +64,26 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 32
+    """The unitary optimizer's budget per restart and the seed of its starts.
+
+    Both are integers (numpy's too), kept as Python ints: a budget of at
+    least 1 and a seed of at least 0.
+    """
+
     max_iterations: int = 4000
-    tolerance: float = 1e-12
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.restarts < 32:
-            raise ValueError(f"restarts must be >= 32, got {self.restarts}")
+        for name in ("max_iterations", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not 0 < self.tolerance < 1:
-            raise ValueError("tolerance must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -532,14 +546,14 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
     qubit, since the initial state and the measurement basis can be absorbed
     into the gates.  Its average win depends on the gates only through the
     Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
-    their 8 Bloch angles, from seeded uniform starts; ``initial_points`` adds
-    explicit extra starts.  Each start runs ``_seesaw`` and hands its end
-    point to L-BFGS-B on ``_objective``'s value and closed-form gradient.
-    At a see-saw fixed point the gradient is already below ``gtol``, so
-    L-BFGS-B stops after one evaluation; from a point the see-saw could not
-    move (a zero sum or difference) or one it left early, L-BFGS-B takes
-    over.  ``config.max_iterations`` caps both the see-saw's responses and
-    L-BFGS-B's iterations per restart.  The witness is ``_bloch_strategy``
+    their 8 Bloch angles, from ``UNITARY_RESTARTS`` seeded uniform starts;
+    ``initial_points`` adds explicit extra starts.  Each start runs
+    ``_seesaw`` and hands its end point to L-BFGS-B on ``_objective``'s
+    value and closed-form gradient.  At a see-saw fixed point the gradient
+    is already below ``gtol``, so L-BFGS-B stops after one evaluation; from
+    a point the see-saw could not move (a zero sum or difference) or one it
+    left early, L-BFGS-B takes over.  ``config.max_iterations`` caps both
+    the see-saw's responses and L-BFGS-B's iterations per restart.  The witness is ``_bloch_strategy``
     of the best angles.  ``converged`` of the result is the success flag of
     the best restart, and ``strategies_examined`` counts the see-saw's
     responses and L-BFGS-B's objective-and-gradient evaluations over all
@@ -550,7 +564,7 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
 
     rng = np.random.default_rng(config.seed)
     starts = [np.asarray(p, dtype=float) for p in (initial_points or [])]
-    starts += [rng.uniform(0.0, 2 * np.pi, size=n_params) for _ in range(config.restarts)]
+    starts += [rng.uniform(0.0, 2 * np.pi, size=n_params) for _ in range(UNITARY_RESTARTS)]
 
     best_val, best_angles, converged, evaluations = -np.inf, None, None, 0
     for x0 in starts:
@@ -562,7 +576,7 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
             point,
             method="L-BFGS-B",
             jac=True,
-            options={"maxiter": config.max_iterations, "ftol": config.tolerance, "gtol": 1e-8},
+            options={"maxiter": config.max_iterations, "ftol": LBFGSB_FTOL, "gtol": 1e-8},
         )
         evaluations += responses + int(res.nfev)
         if -res.fun > best_val:

@@ -1,5 +1,7 @@
 """Core linear algebra, channels and measurements."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -381,14 +383,11 @@ def test_qubit_state_checks_decide_as_the_stack_check():
                      "density matrix is not positive semidefinite"}
     for t, accepted in ((np.nextafter(1 + q.ATOL_PROB, 0), True), (1 + 2 * q.ATOL_PROB, False)):
         assert (_outcome(q.State, np.diag([t - 0.5, 0.25, 0.25]).astype(complex)) is None) == accepted
-    # A complex modulus here is libm's hypot, in the stack check numpy's abs:
-    # the two may decide differently, but only within 2 ulps of ATOL_PROB.
+    # Both take a complex modulus as libm's hypot, so they agree at the bound too.
     decided = set()
     for rho in _offsets_near_the_hermitian_bound(np.random.default_rng(1519)):
         single = _outcome(q.State, rho)
-        if single != _outcome(q.check_density_stack, rho[None]):
-            deviation = np.abs(rho - rho.conj().T).max()
-            assert abs(deviation - q.ATOL_PROB) <= 2 * np.spacing(q.ATOL_PROB)
+        assert single == _outcome(q.check_density_stack, rho[None]), rho
         decided.add(_kind(single))
     assert decided == {None, "density matrix is not Hermitian"}
 
@@ -512,6 +511,21 @@ def test_measurement_invariants_rejected():
         q.Measurement((p_plus,), (0,))
     with pytest.raises(ValueError, match="idempotent"):
         q.Measurement((0.5 * q.I2, 0.5 * q.I2), (0, 1))
+
+
+def test_measurement_labels_must_be_integers():
+    # Each was once truncated by int() (0.9 -> 0, "1" -> 1, 0.0 -> 0) or failed in int().
+    basis = [q.plus_ket(), q.minus_ket()]
+    q.Measurement.pauli("x")  # cached under (0, 1), which (0.0, 1.0) equals as a key
+    for labels in ((0.9, 0.2), ("1", "0"), (math.inf, 0), (0, math.nan), (0.0, 1.0)):
+        for build in (lambda: q.Measurement.pauli("x", labels), lambda: q.Measurement.from_basis(basis, labels)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == f"outcome labels {labels!r} include one that is not an integer"
+    for m in (q.Measurement.pauli("x", (np.int64(1), np.uint8(0))),
+              q.Measurement.from_basis(basis, np.array([1, 0]))):
+        assert m.outcome_labels == (1, 0) and all(type(c) is int for c in m.outcome_labels)
 
 
 def test_measurement_orthogonality_checks_every_pair():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chshstar import game, settings
+from chshstar import cli, game, settings
 from chshstar.chsh_lift import normal_form
 from chshstar import quantum as q
 
@@ -223,9 +223,37 @@ def test_value_classical_irreversible():
 # Unitary setting
 # ---------------------------------------------------------------------------
 
-def test_optimizer_config_rejects_too_few_restarts():
-    with pytest.raises(ValueError, match="restarts"):
-        settings.OptimizerConfig(restarts=8)
+def test_retired_optimizer_knobs_are_rejected(capsys):
+    # The restart count and L-BFGS-B's ftol are constants: neither the
+    # config nor the value command takes them any more.
+    for knob in (dict(restarts=64), dict(tolerance=1e-9)):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            settings.OptimizerConfig(**knob)
+    for flag in (["--restarts", "64"], ["--tolerance", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["value", "--setting", "unitary", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_optimizer_config_takes_only_non_negative_integers():
+    cases = (
+        (dict(max_iterations=math.nan), "max_iterations must be an integer, got nan"),
+        (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+        (dict(max_iterations=math.inf), "max_iterations must be an integer, got inf"),
+        (dict(max_iterations="10"), "max_iterations must be an integer, got '10'"),
+        (dict(max_iterations=0), "max_iterations must be positive"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=np.float64(3.0)), "seed must be an integer, got np.float64(3.0)"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    )
+    for fields, message in cases:
+        with pytest.raises(ValueError) as raised:
+            settings.OptimizerConfig(**fields)
+        assert str(raised.value) == message
+    config = settings.OptimizerConfig(max_iterations=np.int64(50), seed=np.uint16(3))
+    assert type(config.max_iterations) is int and type(config.seed) is int
+    assert config == settings.OptimizerConfig(max_iterations=50, seed=3)
 
 
 def test_value_unitary_reaches_tsirelson():
@@ -361,7 +389,7 @@ def test_value_unitary_hands_each_seesaw_point_to_minimize(monkeypatch):
 
     def recording(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
-        calls.append((fun, x0, kwargs["options"]["maxiter"], res.nfev))
+        calls.append((fun, x0, kwargs["options"], res.nfev))
         return res
 
     monkeypatch.setattr(settings, "minimize", recording)
@@ -372,9 +400,10 @@ def test_value_unitary_hands_each_seesaw_point_to_minimize(monkeypatch):
     starts = [start] + [rng.uniform(0.0, 2 * np.pi, size=8) for _ in range(32)]
     assert len(calls) == len(starts)
     responses = 0
-    for (fun, x0, maxiter, _), s in zip(calls, starts):
+    for (fun, x0, options, _), s in zip(calls, starts):
         point, _, n = settings._seesaw(s, 50)
-        assert fun is settings._objective and maxiter == 50
+        assert fun is settings._objective
+        assert options == {"maxiter": 50, "ftol": 1e-12, "gtol": 1e-8}
         assert np.array_equal(x0, point)
         responses += n
     assert result.strategies_examined == responses + sum(nfev for *_, nfev in calls)

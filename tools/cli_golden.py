@@ -49,6 +49,7 @@ _LANDAUER = (["--p", "0.3"], ["--p", "0"], ["--p", "1"], ["--target", "tsirelson
 COMMANDS = [
     *(({}, ["value", "--setting", *s, "--format", f]) for s in _VALUE_SETTINGS for f in ("json", "text")),
     ({}, ["value", "--setting", "unitary", "--max-iterations", "1", "--format", "json"]),
+    ({}, ["value", "--setting", "unitary", "--seed", "7", "--format", "json"]),
     ({}, ["value", "--setting", "irreversible", "--seed", "3", "--format", "json"]),
     ({}, ["value", "--setting", "irreversible", "--dimension", "2", "--format", "json"]),
     *(({}, ["verify-lemma1", "--n-random", "5", *tol, "--format", f])
@@ -85,6 +86,8 @@ COMMANDS = [
     ({}, ["value", "--setting", "clifford", "--epsilon", "0.5"]),
     ({}, ["value", "--setting", "clifford", "--format", "csv"]),
     ({}, ["value", "--setting", "telepathy"]),
+    ({}, ["value", "--setting", "unitary", "--restarts", "64"]),
+    ({}, ["value", "--setting", "unitary", "--tolerance", "1e-9"]),
     ({}, ["sweep-epsilon", "--steps", "5", "--format", "csv", "--output", "/nonexistent-dir/sweep.csv"]),
     ({"CHSHSTAR_SEED": "abc"}, ["verify-lemma1", "--n-random", "3"]),
     ({}, ["verify-lemma1", "--n-random", "3", "--seed", "-1"]),
