@@ -151,7 +151,7 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
     for (a, b), row in zip(inputs, magnitudes):
         p = [m ** 2 for m in row]
         total = sum(p)
-        if abs(total - 1.0) > ATOL_STRUCT:
+        if not abs(total - 1.0) <= ATOL_STRUCT:
             raise ValueError(f"joint table for input ({a}, {b}) sums to {total}")
         for k, pk in enumerate(p):
             joint[(a, b, k >> 1, k & 1)] = pk

@@ -5,19 +5,21 @@ operators and density matrices 2-D; products, adjoints and tensor
 products are numpy's own (``@``, ``.conj().T``, ``np.kron``).  ``State``,
 ``Channel`` and ``Measurement`` validate their arrays once, at
 construction, and keep read-only copies.  Fixed objects are built once:
-the six Pauli kets, the identity matrices and, per (axis, labels), the
-Pauli measurement, which ``Measurement.pauli`` shares read-only among the
-instances it returns.
+the six Pauli kets, the identity matrices, per d the Fourier kets and, per
+(axis, labels), the Pauli measurement, which ``Measurement.pauli`` shares
+read-only among the instances it returns.
 Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
 Every complex modulus in a check is libm's ``hypot`` of its parts.
-A ``State``'s density, of any dimension, and a ``Channel`` of one 2x2 Kraus
-operator are checked on the Python scalars of one ``tolist()`` call (a
-density of dimension 3 and up still takes ``eigvalsh`` for its smallest
-eigenvalue); stacks and every other channel are checked vectorized, by the
-stack checks below.  ``outcome_distribution`` reads one state's outcomes
-from one product and sums them on Python floats.
+A ``State``'s density, of any dimension, and a ``Channel`` of one 2x2 or
+3x3 Kraus operator are checked on the Python scalars of one ``tolist()``
+call (a density of dimension 3 and up still takes ``eigvalsh`` for its
+smallest eigenvalue); stacks and every other channel are checked
+vectorized, by the stack checks below.  ``apply_channel`` applies one
+Kraus operator without stacking it.  ``outcome_distribution`` reads one
+state's outcomes from one product and sums them on Python floats, the
+traces too below dimension 4.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -105,6 +107,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _fourier_kets(d: int) -> np.ndarray:
+    """Read-only stack of the d Fourier kets (row k is ``fourier_ket(d, k)``), built once per d."""
+    return _read_only(np.array([fourier_ket(d, k) for k in range(d)]))
+
+
 # The six Pauli eigenstates, built once; pauli_eigenstates() hands out copies.
 _PAULI_KETS = {
     name: _read_only(ket) for name, ket in (
@@ -125,6 +133,14 @@ def pauli_eigenstates() -> dict[str, np.ndarray]:
     Clifford search.
     """
     return {name: ket.copy() for name, ket in _PAULI_KETS.items()}
+
+
+def _label_tuple(labels) -> tuple:
+    """Measurement outcome labels as a tuple; ValueError, naming them, if they are not a sequence."""
+    try:
+        return tuple(labels)
+    except TypeError:
+        raise ValueError(f"outcome labels {labels!r} are not a sequence") from None
 
 
 def _integers(values) -> tuple[int, ...] | None:
@@ -149,8 +165,8 @@ def projector(ket: np.ndarray) -> np.ndarray:
 
 
 # Structural checks.  Each works on a stack of shape (n, d, d) and holds only
-# if it holds for every matrix of the stack; one density and one 2x2 Kraus
-# operator are checked on scalars instead (below).  Closeness is
+# if it holds for every matrix of the stack; one density and one 2x2 or 3x3
+# Kraus operator are checked on scalars instead (below).  Closeness is
 # ``|a - b| <= atol`` entrywise, which, unlike ``np.allclose``, never counts
 # inf or NaN as close; a complex modulus is ``np.hypot`` of its parts, libm's
 # hypot, as Python's abs() takes it.  The stacks are small, so the checks keep
@@ -246,6 +262,11 @@ def _check_density(rho: np.ndarray) -> None:
             (a, c), (r, b) = rows
             hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
                          and abs(b - b.conjugate()) <= ATOL_PROB)
+        elif d == 3:  # unrolled: every qutrit evaluation builds eighteen
+            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+            hermitian = (abs(r00 - r00.conjugate()) <= ATOL_PROB and abs(r01 - r10.conjugate()) <= ATOL_PROB
+                         and abs(r02 - r20.conjugate()) <= ATOL_PROB and abs(r11 - r11.conjugate()) <= ATOL_PROB
+                         and abs(r12 - r21.conjugate()) <= ATOL_PROB and abs(r22 - r22.conjugate()) <= ATOL_PROB)
         else:
             hermitian = all(abs(row[j] - rows[j][i].conjugate()) <= ATOL_PROB
                             for i, row in enumerate(rows) for j in range(i, d))
@@ -272,19 +293,33 @@ def _check_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix is not positive semidefinite")
 
 
-def _qubit_gram_is_identity(k: np.ndarray) -> bool:
-    """Whether K^+ K = I to ``ATOL_STRUCT`` entry by entry, for one 2x2 K, on scalars.
+def _gram_is_identity(k: np.ndarray) -> bool:
+    """Whether K^+ K = I to ``ATOL_STRUCT`` entry by entry, for one 2x2 or 3x3 K, on scalars.
 
-    Each Gram entry is a sum of two Python complex products, where the stack
-    check takes ``_dagger_stack(k) @ k`` through BLAS, so an entry may differ
-    from it by an ulp: only one within a few roundings of ``ATOL_STRUCT``
-    could be decided differently.
+    Entry (j, i) is the exact conjugate of entry (i, j), so it has the same
+    modulus and only the upper triangle is taken.  Each Gram entry is a sum
+    of Python complex products, where the stack check takes
+    ``_dagger_stack(k) @ k`` through BLAS, so an entry may differ from it by
+    an ulp: only one within a few roundings of ``ATOL_STRUCT`` could be
+    decided differently.
     """
-    (a, b), (c, d) = k.tolist()
-    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    rows = k.tolist()
     try:
-        return (abs(ac * a + cc * c - 1.0) <= ATOL_STRUCT and abs(ac * b + cc * d) <= ATOL_STRUCT
-                and abs(bc * a + dc * c) <= ATOL_STRUCT and abs(bc * b + dc * d - 1.0) <= ATOL_STRUCT)
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+            return (abs(ac * a + cc * c - 1.0) <= ATOL_STRUCT and abs(ac * b + cc * d) <= ATOL_STRUCT
+                    and abs(bc * b + dc * d - 1.0) <= ATOL_STRUCT)
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        ac, bc, cc = a.conjugate(), b.conjugate(), c.conjugate()
+        dc, ec, fc = d.conjugate(), e.conjugate(), f.conjugate()
+        gc, hc, ic = g.conjugate(), h.conjugate(), i.conjugate()
+        return (abs(ac * a + dc * d + gc * g - 1.0) <= ATOL_STRUCT
+                and abs(ac * b + dc * e + gc * h) <= ATOL_STRUCT
+                and abs(ac * c + dc * f + gc * i) <= ATOL_STRUCT
+                and abs(bc * b + ec * e + hc * h - 1.0) <= ATOL_STRUCT
+                and abs(bc * c + ec * f + hc * i) <= ATOL_STRUCT
+                and abs(cc * c + fc * f + ic * i - 1.0) <= ATOL_STRUCT)
     except OverflowError:
         return False
 
@@ -359,7 +394,7 @@ class Channel:
     The operators are kept once, as the read-only stack ``_stack`` (n, d, d)
     that the completeness check ran on; ``kraus`` holds views of that stack,
     so ``apply_channel`` never re-stacks them.  The completeness check of one
-    2x2 operator is taken in closed form on scalars (``_qubit_gram_is_identity``);
+    2x2 or 3x3 operator is taken in closed form on scalars (``_gram_is_identity``);
     any other channel sums the Gram stack.
     """
 
@@ -376,8 +411,8 @@ class Channel:
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
         ks = _read_only(np.array(ops))
-        if ks.shape == (1, 2, 2):
-            complete = _qubit_gram_is_identity(ops[0])
+        if len(ks) == 1 and shape[0] in (2, 3):
+            complete = _gram_is_identity(ops[0])
         else:
             grams = _dagger_stack(ks) @ ks  # one operator's K^+ K is its own sum
             complete = _close(grams if len(ks) == 1 else grams.sum(axis=0), _eye(shape[0]), ATOL_STRUCT)
@@ -449,9 +484,18 @@ class Channel:
 
 
 def apply_channel(ch: Channel, s: State) -> State:
-    """rho -> sum_i K_i rho K_i^+ ."""
+    """rho -> sum_i K_i rho K_i^+ .
+
+    One Kraus operator K gives ``K @ rho @ K^+ + 0.0``: the same product as
+    the stacked one, and ``+ 0.0`` turns -0.0 into 0.0 as the sum over the
+    stack's axis of length 1 does, so the density is the stacked form's bit
+    for bit.
+    """
     if ch.dim != s.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {s.dim}")
+    if len(ch.kraus) == 1:
+        k = ch.kraus[0]
+        return State(k @ s.density @ k.conj().T + 0.0)
     return State((ch._stack @ s.density @ _dagger_stack(ch._stack)).sum(axis=0))
 
 
@@ -464,8 +508,8 @@ class Measurement:
     (P_i P_j = 0 for i != j), both read off one product of every pair;
     summing to the identity.  The validated stack is kept read-only as
     ``_stack`` (n, d, d), and ``projectors`` holds views of it, so
-    ``outcome_probabilities`` never re-stacks them.  The labels must be
-    integers (Python's or numpy's) and are kept as Python ints.
+    ``outcome_probabilities`` never re-stacks them.  The labels must be a
+    sequence of integers (Python's or numpy's) and are kept as Python ints.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -476,13 +520,12 @@ class Measurement:
         projs = tuple(_as_matrix(p, "projector") for p in self.projectors)
         if not projs:
             raise ValueError("measurement needs at least one projector")
-        if len(projs) != len(self.outcome_labels):
+        labels = _label_tuple(self.outcome_labels)
+        if len(projs) != len(labels):
             raise ValueError("one label per projector is required")
-        labels = _integers(self.outcome_labels)
-        if labels is None:
-            raise ValueError(
-                f"outcome labels {tuple(self.outcome_labels)!r} include one that is not an integer"
-            )
+        int_labels = _integers(labels)
+        if int_labels is None:
+            raise ValueError(f"outcome labels {labels!r} include one that is not an integer")
         d = projs[0].shape[0]
         if any(p.shape != (d, d) for p in projs):
             raise ValueError("all projectors must share one dimension")
@@ -491,14 +534,17 @@ class Measurement:
             raise ValueError("projector is not Hermitian")
         products = ps[:, None] @ ps[None]  # products[i, j] = P_i P_j
         same = _eye(len(ps), bool)
-        if not _close(products[same], ps, ATOL_STRUCT):
-            raise ValueError("projector is not idempotent")
-        if not _close(products[~same], 0.0, ATOL_STRUCT):
-            raise ValueError("projectors are not pairwise orthogonal")
+        # Both checks at once: P_i on the diagonal, 0 elsewhere.  Only a
+        # failure runs them apart, to name the first that fails.
+        if not _close(products, ps[:, None] * same[..., None, None], ATOL_STRUCT):
+            if not _close(products[same], ps, ATOL_STRUCT):
+                raise ValueError("projector is not idempotent")
+            if not _close(products[~same], 0.0, ATOL_STRUCT):
+                raise ValueError("projectors are not pairwise orthogonal")
         if not _close(ps.sum(axis=0), _eye(d), ATOL_STRUCT):
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", tuple(ps))
-        object.__setattr__(self, "outcome_labels", labels)
+        object.__setattr__(self, "outcome_labels", int_labels)
         object.__setattr__(self, "_stack", ps)
 
     @classmethod
@@ -506,7 +552,7 @@ class Measurement:
         kets = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
         if labels is None:
             labels = range(len(kets))
-        return cls(tuple(projector(k) for k in kets), tuple(labels))
+        return cls(tuple(projector(k) for k in kets), labels)
 
     @classmethod
     def pauli(cls, axis: str, labels=(0, 1)) -> "Measurement":
@@ -521,7 +567,7 @@ class Measurement:
         if axis not in ("x", "y", "z"):
             raise ValueError(f"unknown Pauli axis {axis!r}")
         kets = [_PAULI_KETS[axis + "+"], _PAULI_KETS[axis + "-"]]
-        labels = tuple(range(2) if labels is None else labels)  # None: from_basis's default
+        labels = _label_tuple(range(2) if labels is None else labels)  # None: from_basis's default
         key = _integers(labels)
         if key is None:  # a label that is not an integer: judged by the constructor
             return cls.from_basis(kets, labels)
@@ -537,7 +583,7 @@ class Measurement:
     @classmethod
     def fourier(cls, d: int, labels=None) -> "Measurement":
         """Fourier ("X") basis measurement; outcome k labeled ``labels[k]``."""
-        return cls.from_basis([fourier_ket(d, k) for k in range(d)], labels)
+        return cls.from_basis(_fourier_kets(d), labels)
 
     @property
     def dim(self) -> int:
@@ -585,7 +631,17 @@ def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
     """
     if m.dim != s.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
-    agg = _sum_by_label(m.outcome_labels, _traces(m._stack @ s.density).tolist())
+    products = m._stack @ s.density
+    if s.dim < 4:  # numpy sums up to three entries in order, from 0.0 (see _check_density)
+        traces = []
+        for diagonal in products.diagonal(0, -2, -1).tolist():
+            tr = 0.0
+            for z in diagonal:
+                tr += z.real
+            traces.append(tr)
+    else:
+        traces = _traces(products).tolist()
+    agg = _sum_by_label(m.outcome_labels, traces)
     total = functools.reduce(operator.add, agg.values())
     if not abs(total - 1.0) <= ATOL_STRUCT:
         raise ValueError(f"outcome probabilities sum to {total}, expected 1")

@@ -103,6 +103,16 @@ def test_evaluate_chsh_rejects_a_table_that_does_not_sum_to_one():
         chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates=cs.alice_gates, bob_gates=scaled))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_chsh_rejects_a_table_that_sums_to_nan():
+    # A NaN sum fails every comparison, so only `not |total - 1| <= tol` rejects it.
+    cs = chsh_lift.lift(optimal_unitary_strategy())
+    for gate in (np.full((2, 2), np.nan), np.array([[np.inf, 0], [0, 1]])):
+        alice = {**cs.alice_gates, 0: gate}
+        with pytest.raises(ValueError, match=r"^joint table for input \(0, 0\) sums to nan$"):
+            chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates=alice, bob_gates=cs.bob_gates))
+
+
 def test_lift_rejects_non_normal_form():
     s = optimal_unitary_strategy()
     with pytest.raises(ValueError, match="unitary"):

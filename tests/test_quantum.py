@@ -95,10 +95,14 @@ def test_stack_checks_reject_a_single_bad_member():
 
 def test_stack_evaluation_matches_per_state_path_exactly():
     rng = np.random.default_rng(7)
+    # Below dimension 4 one state's traces are summed on Python floats,
+    # from 4 on by numpy; both must give the stack's bits.
     for d, measurements in (
         (2, (q.Measurement.pauli("x"), q.Measurement.pauli("z", labels=(0, 0)))),
         (3, (q.Measurement.fourier(3), q.Measurement.fourier(3, labels=(0, 1, 1)),
              q.Measurement.computational(3, (0, 0, 1)))),
+        (4, (q.Measurement.fourier(4), q.Measurement.from_basis(list(q.random_unitary(4, rng)), (0, 1, 1, 0)))),
+        (9, (q.Measurement.fourier(9, [k % 3 for k in range(9)]), q.Measurement.from_basis(list(q.random_unitary(9, rng))))),
     ):
         us = np.stack([q.random_unitary(d, rng) for _ in range(5)])
         initial = q.State.from_ket(q.plus_ket(d))
@@ -400,23 +404,41 @@ def test_qubit_state_reports_an_overflowing_modulus_as_not_psd():
 
 
 def test_single_qubit_gram_check_decides_as_the_stack_check():
+    # One 2x2 or 3x3 Kraus operator is checked on scalars, anything else on the stack.
     rng = np.random.default_rng(1516)
     us = [q.random_unitary(2, rng) for _ in range(200)] + [q.I2, q.X, q.Y, q.Z, q.H, q.S, q.T]
+    us3 = [q.random_unitary(3, rng) for _ in range(100)] + list(q.qudit_gates(3).values())
     cases = us + [1.001 * u for u in us[:20]] + [u @ np.diag([1.0, 1.0 + 1e-9]) for u in us[:20]]
-    for i in range(2):
-        for j in range(2):
-            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), BIG, BIG * (1 + 1j), 1.3e154 * (1 + 1j)):
-                u = q.I2.copy()
-                u[i, j] = bad
+    cases += us3 + [u * f for u in us3[:20] for f in (1 + 1e-9, 1 - 1e-9, 1 + 1e-11, 1 - 1e-11)]
+    for d in (2, 3):
+        for i in range(d):
+            for j in range(d):
+                for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), BIG, BIG * (1 + 1j), 1.3e154 * (1 + 1j)):
+                    u = np.eye(d, dtype=complex)
+                    u[i, j] = bad
+                    cases.append(u)
+                if i < j:
+                    # Unit columns i and j that are not orthogonal: only
+                    # the off-diagonal Gram entry (i, j) leaves the tolerance.
+                    u = np.eye(d, dtype=complex)
+                    u[i, j], u[j, j] = 1e-6, np.sqrt(1 - 1e-12)
+                    cases.append(u)
+    for i in range(3):
+        for j in range(3):
+            # One entry moved: a diagonal Gram entry leaves the tolerance.
+            for step in (1e-9, 1e-12j):
+                u = us3[3 * i + j].copy()
+                u[i, j] += step
                 cases.append(u)
     # A real diagonal K gives exact Gram entries on both paths: K^+ K - I
     # steps across +-ATOL_STRUCT one ulp of the entry at a time.
-    exact = [np.diag([s, 1.0]).astype(complex)
+    exact = [np.diag(diagonal).astype(complex)
              for target in (1 + q.ATOL_STRUCT, 1 - q.ATOL_STRUCT)
-             for s in _ulp_steps(np.sqrt(target), 40)]
+             for s in _ulp_steps(np.sqrt(target), 40)
+             for diagonal in ([s, 1.0], [1.0, 1.0, s])]
     # Complex unitaries scaled to put their Gram entries near the tolerance.
-    near = [u * np.sqrt(1 + q.ATOL_STRUCT) * (1 + k * np.finfo(float).eps) for u in us[:10] for k in range(-20, 21)]
-    eye = np.eye(2)
+    near = [u * np.sqrt(1 + q.ATOL_STRUCT) * (1 + k * np.finfo(float).eps)
+            for u in us[:10] + us3[:10] for k in range(-20, 21)]
     for group in (cases, exact, near):
         decided = set()
         for u in group:
@@ -428,11 +450,11 @@ def test_single_qubit_gram_check_decides_as_the_stack_check():
                 # The scalar Gram entries may differ from BLAS's by an ulp.
                 assert group is near
                 with np.errstate(all="ignore"):
-                    deviation = np.abs(u.conj().T @ u - eye).max()
+                    deviation = np.abs(u.conj().T @ u - np.eye(len(u))).max()
                 assert abs(deviation - q.ATOL_STRUCT) <= 2 * np.finfo(float).eps
             decided.add(single is None)
         assert decided == {True, False}
-    assert _outcome(q.Channel, (cases[-1],)) == (ValueError, "channel is not trace preserving (sum K^+ K != I)")
+    assert _outcome(q.Channel, (1.001 * us3[0],)) == (ValueError, "channel is not trace preserving (sum K^+ K != I)")
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +531,12 @@ def test_measurement_invariants_rejected():
         q.Measurement((p_plus, p_plus), (0, 1))
     with pytest.raises(ValueError, match="identity"):
         q.Measurement((p_plus,), (0,))
+    # Neither idempotent nor orthogonal: idempotence is named first.
     with pytest.raises(ValueError, match="idempotent"):
         q.Measurement((0.5 * q.I2, 0.5 * q.I2), (0, 1))
+    p0, p12 = q.projector(q.basis_ket(3, 0)), np.diag([0.0, 0.5, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="^projector is not idempotent$"):
+        q.Measurement((p0, p12, p12), (0, 1, 2))
 
 
 def test_measurement_labels_must_be_integers():
@@ -526,6 +552,48 @@ def test_measurement_labels_must_be_integers():
     for m in (q.Measurement.pauli("x", (np.int64(1), np.uint8(0))),
               q.Measurement.from_basis(basis, np.array([1, 0]))):
         assert m.outcome_labels == (1, 0) and all(type(c) is int for c in m.outcome_labels)
+
+
+def test_measurement_labels_must_be_a_sequence():
+    basis = [q.plus_ket(), q.minus_ket()]
+    for build, labels in ((lambda: q.Measurement.pauli("x", labels=5), 5),
+                          (lambda: q.Measurement.computational(2, labels=7), 7),
+                          (lambda: q.Measurement.fourier(3, labels=5), 5),
+                          (lambda: q.Measurement.from_basis(basis, labels=5), 5),
+                          (lambda: q.Measurement((q.I2,), 5), 5)):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"outcome labels {labels} are not a sequence"
+
+
+def test_fourier_measurement_keeps_the_bits_of_its_per_call_construction():
+    # The kets are built once per d, read-only; fourier_ket hands out new, writable arrays.
+    for d in range(2, 10):
+        w = np.exp(2j * np.pi / d)
+        kets = [np.array([w ** (j * k) for j in range(d)], dtype=complex) / np.sqrt(d) for k in range(d)]
+        m = q.Measurement.fourier(d)
+        assert m.outcome_labels == tuple(range(d))
+        assert m._stack.tobytes() == np.array([v[:, None] * v.conj() for v in kets]).tobytes()
+        assert not q._fourier_kets(d).flags.writeable
+        assert q.fourier_ket(d, 1).flags.writeable
+
+
+def test_one_kraus_apply_channel_keeps_the_bits_of_the_stacked_sum():
+    rng = np.random.default_rng(2207)
+    gates = [q.random_unitary(d, rng) for d in (2, 3) for _ in range(20)]
+    gates += [q.X, q.Z, -q.I2, q.shift_gate(3)] + [q.qudit_gates(3)[name] for name in ("T3", "V", "W")]
+    for u in gates:
+        d = len(u)
+        for state in [q.State.from_ket(q.basis_ket(d, i)) for i in range(d)] + [_random_state(rng, d)]:
+            # The stacked form apply_channel takes for every channel.
+            expected = (u[None] @ state.density @ u[None].conj().swapaxes(-1, -2)).sum(axis=0)
+            out = q.apply_channel(q.Channel.unitary(u), state).density
+            assert [z.hex() for z in out.view(float).ravel()] == [z.hex() for z in expected.view(float).ravel()]
+    # -I on |0><0| leaves three -0.0 entries in the bare product, which the
+    # stacked sum, and so apply_channel, turns into 0.0.
+    bare = (-q.I2 @ q.projector(q.basis_ket(2, 0)) @ (-q.I2).conj().T).view(float)
+    assert [z.hex() for z in bare.ravel()].count("-0x0.0p+0") == 3
 
 
 def test_measurement_orthogonality_checks_every_pair():
