@@ -2,12 +2,12 @@
 
 Finite settings (Clifford, classical reversible/irreversible, classical
 mod-3) are searched exhaustively; the unitary setting is optimized over the
-Bloch angles of the normal form's four Bloch vectors by 32 seeded restarts,
-each a closed-form see-saw of best responses whose end point L-BFGS-B, on the
-closed-form gradient, checks for stationarity; ``OptimizerConfig`` sets only
-the budget per restart and the seed.  Every returned witness is
-re-evaluated through the generic evaluators as a consistency check before
-the result is handed back.
+Bloch angles of the normal form's four Bloch vectors by 32 seeded restarts.
+Each restart is ``minimize``: a closed-form see-saw of best responses, whose
+end point is then checked for stationarity on the closed-form gradient, so
+no outside optimizer is needed.  ``OptimizerConfig`` sets only the budget per
+restart and the seed.  Every returned witness is re-evaluated through the
+generic evaluators as a consistency check before the result is handed back.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,10 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
-# The unitary optimizer's seeded starts, and L-BFGS-B's ftol (inert at their see-saw fixed points).
+# The unitary optimizer's seeded starts, and the largest gradient component
+# at which a see-saw fixed point counts as converged.
 UNITARY_RESTARTS = 32
-LBFGSB_FTOL = 1e-12
+STATIONARY_GTOL = 1e-8
 
 # Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
 # strategy: n_a is the Bloch vector of A_a|+>, m_b that of B_b^+|+>.
@@ -437,54 +439,61 @@ def _bloch_angles(v: tuple) -> tuple[float, float]:
     return math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0])
 
 
-def _best_response(u: tuple, w: tuple) -> tuple[tuple, float] | None:
+def _best_response(u: tuple, w: tuple) -> tuple[tuple, float]:
     """The pair (unit(u + w), unit(u - w)) and the sum it reaches, |u + w| + |u - w|.
 
     Over unit vectors r_0, r_1 it maximizes (u + w) . r_0 + (u - w) . r_1,
-    each term by its own r.  None when u + w or u - w is the zero vector, whose unit
-    is undefined.
+    each term by its own r.  A sum or difference that is the zero vector
+    (u = -w or u = w) is met equally by every unit vector; it gets the fixed
+    one orthogonal to u, unit(u x e_k) for the axis k of u's smallest
+    component, so that the pair is orthogonal as any other response's is.
     """
-    pm = _sum_and_difference(u, w)
-    norms = [math.hypot(*v) for v in pm]
-    if not (norms[0] and norms[1]):
-        return None
-    pair = tuple((v[0] / n, v[1] / n, v[2] / n) for v, n in zip(pm, norms))
-    return pair, norms[0] + norms[1]
+    pair, reached = [], 0.0
+    for v in _sum_and_difference(u, w):
+        norm = math.hypot(*v)
+        reached += norm
+        if not norm:
+            k = min(range(3), key=lambda i: abs(u[i]))
+            i, j = (k + 1) % 3, (k + 2) % 3
+            v = [0.0, 0.0, 0.0]
+            v[i], v[j] = u[j], -u[i]  # u x e_k
+            norm = math.hypot(*v)
+        pair.append((v[0] / norm, v[1] / norm, v[2] / norm))
+    return tuple(pair), reached
 
 
-def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int]:
+def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int, bool]:
     """The see-saw of best responses from the 8 Bloch angles ``x0``.
 
     With (n_0, n_1, m_0, m_1) as in ``_objective``, the sum
     sum_ab (-1)^{ab} n_a . m_b is raised by the B response
     m_b = unit(n_0 + (-1)^b n_1), then the A response
     n_a = unit(m_0 + (-1)^a m_1), alternately (Werner & Wolf, Quantum Inf.
-    Comput. 1, 1 (2001)).  It stops at the first response that does not
-    raise the sum, which is not taken, at the first sum or difference that
-    is the zero vector (only the start can have one: after a response its
-    pair is orthogonal), or after ``budget`` responses.  Returns the angles
-    (``_bloch_angles`` of each moved vector, ``x0``'s own for the rest), the
-    sum there and the number of responses computed.
+    Comput. 1, 1 (2001)).  A response that does not lower the sum is taken,
+    so a flat one can move a start off a zero sum or difference.  It stops
+    after two consecutive responses that do not raise the sum, when each
+    side is a best response to the other: a fixed point, where the sum is
+    2 sqrt(2).  Otherwise it stops after ``budget`` responses.  Returns the
+    angles (``_bloch_angles`` of each moved vector, ``x0``'s own for the
+    rest), the sum there, the number of responses computed and whether it
+    stopped at a fixed point.
     """
     x = x0.tolist()
     vectors = [_bloch(x[k], x[k + 1])[0] for k in (0, 2, 4, 6)]
     m_pm = _sum_and_difference(vectors[2], vectors[3])
     total = _dot(vectors[0], m_pm[0]) + _dot(vectors[1], m_pm[1])
-    responses = 0
-    while responses < budget:
+    responses = flat = 0
+    while flat < 2 and responses < budget:
         # Even responses move (m_0, m_1) against (n_0, n_1), odd ones the reverse.
         given, moved = (0, 2) if responses % 2 == 0 else (2, 0)
-        response = _best_response(vectors[given], vectors[given + 1])
-        if response is None:
-            break
+        pair, reached = _best_response(vectors[given], vectors[given + 1])
         responses += 1
-        pair, reached = response
-        if not reached > total:
-            break
-        vectors[moved:moved + 2] = pair
-        x[2 * moved:2 * moved + 4] = [angle for v in pair for angle in _bloch_angles(v)]
-        total = reached
-    return np.array(x), total, responses
+        flat = 0 if reached > total else flat + 1
+        if reached >= total:
+            vectors[moved:moved + 2] = pair
+            x[2 * moved:2 * moved + 4] = [angle for v in pair for angle in _bloch_angles(v)]
+            total = reached
+    return np.array(x), total, responses, flat == 2
 
 
 def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
@@ -496,9 +505,10 @@ def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
     probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
     1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
     rounding stays below the ulp of 1/2.  Each partial derivative replaces
-    one vector in that sum by its own partial.  L-BFGS-B calls it on 8
-    angles at a time, where numpy's per-call overhead would dominate, so it
-    runs on Python floats.
+    one vector in that sum by its own partial.  ``minimize`` calls it once
+    per restart, at the see-saw's end point, to value that point and check
+    it for stationarity; on 8 angles numpy's per-call overhead would
+    dominate, so it runs on Python floats.
     """
     x = angles.tolist()
     n0, n1, m0, m1 = (_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6))
@@ -528,15 +538,29 @@ def _bloch_strategy(angles: np.ndarray) -> game.Strategy:
     return normal_form(a0, a1, g0.conj().T, g1.conj().T)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use.
+class SeesawResult(NamedTuple):
+    """Where ``minimize`` ended: the angles, the objective there and how it got there."""
 
-    Importing ``scipy.optimize`` takes most of the package's import time and
-    only the unitary optimizer needs it, so it is loaded here, not at import.
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+    responses: int
+
+
+def minimize(objective, x0: np.ndarray, budget: int) -> SeesawResult:
+    """The unitary optimizer's local search: ``_seesaw`` from ``x0``, then one ``objective`` call.
+
+    ``objective`` maps 8 Bloch angles to minus the average win and its
+    gradient (``_objective``); it is called once, at the see-saw's end
+    point, so ``nfev`` is 1.  ``success`` means that the see-saw stopped at
+    a fixed point, not at the ``budget`` of responses, and that there the
+    gradient's largest component is at most ``STATIONARY_GTOL``.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+    x, _, responses, fixed = _seesaw(x0, budget)
+    fun, grad = objective(x)
+    stationary = max(abs(g) for g in grad) <= STATIONARY_GTOL
+    return SeesawResult(x, fun, 1, fixed and stationary, responses)
 
 
 def value_unitary(config: OptimizerConfig | None = None, initial_points=None) -> ValueResult:
@@ -547,40 +571,32 @@ def value_unitary(config: OptimizerConfig | None = None, initial_points=None) ->
     into the gates.  Its average win depends on the gates only through the
     Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
     their 8 Bloch angles, from ``UNITARY_RESTARTS`` seeded uniform starts;
-    ``initial_points`` adds explicit extra starts.  Each start runs
-    ``_seesaw`` and hands its end point to L-BFGS-B on ``_objective``'s
-    value and closed-form gradient.  At a see-saw fixed point the gradient
-    is already below ``gtol``, so L-BFGS-B stops after one evaluation; from
-    a point the see-saw could not move (a zero sum or difference) or one it
-    left early, L-BFGS-B takes over.  ``config.max_iterations`` caps both
-    the see-saw's responses and L-BFGS-B's iterations per restart.  The witness is ``_bloch_strategy``
-    of the best angles.  ``converged`` of the result is the success flag of
-    the best restart, and ``strategies_examined`` counts the see-saw's
-    responses and L-BFGS-B's objective-and-gradient evaluations over all
-    restarts.
+    ``initial_points`` adds explicit extra starts, each checked to be 8
+    finite angles before any restart runs.  Each start is one ``minimize``
+    call on ``_objective`` with ``config.max_iterations`` as the cap on its
+    see-saw responses.  The witness is ``_bloch_strategy`` of the best
+    angles.  ``converged`` of the result is the success flag of the best
+    restart, and ``strategies_examined`` counts the see-saw's responses and
+    the objective evaluations over all restarts.
     """
     config = config or OptimizerConfig()
     n_params = 8
 
-    rng = np.random.default_rng(config.seed)
     starts = [np.asarray(p, dtype=float) for p in (initial_points or [])]
+    for k, x0 in enumerate(starts):
+        if x0.shape != (n_params,):
+            raise ValueError(f"start point must have {n_params} angles, got {x0.shape}")
+        if not np.isfinite(x0).all():
+            raise ValueError(f"start point {k} must have finite angles, got {x0.tolist()}")
+    rng = np.random.default_rng(config.seed)
     starts += [rng.uniform(0.0, 2 * np.pi, size=n_params) for _ in range(UNITARY_RESTARTS)]
 
     best_val, best_angles, converged, evaluations = -np.inf, None, None, 0
     for x0 in starts:
-        if x0.shape != (n_params,):
-            raise ValueError(f"start point must have {n_params} angles, got {x0.shape}")
-        point, _, responses = _seesaw(x0, config.max_iterations)
-        res = minimize(
-            _objective,
-            point,
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": config.max_iterations, "ftol": LBFGSB_FTOL, "gtol": 1e-8},
-        )
-        evaluations += responses + int(res.nfev)
+        res = minimize(_objective, x0, config.max_iterations)
+        evaluations += res.responses + res.nfev
         if -res.fun > best_val:
-            best_val, best_angles, converged = -res.fun, res.x, bool(res.success)
+            best_val, best_angles, converged = -res.fun, res.x, res.success
 
     # The value is the witness's exact evaluation, not the optimizer's own
     # number, which can lie an ulp or two above it (and above cos^2(pi/8)).

@@ -81,13 +81,24 @@ def test_value_unitary_warns_when_not_converged(capsys, schema):
     assert "converge" in err
 
 
-def test_import_does_not_load_the_optimizer():
+def _fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(chshstar.__file__))
-    code = "import sys, chshstar, chshstar.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_the_optimizer():
+    code = "import sys, chshstar, chshstar.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_value_unitary_does_not_load_scipy():
+    code = ("import sys; from chshstar import settings; "
+            "print(settings.value_unitary().converged, 'scipy' in sys.modules)")
+    assert _fresh_python(code) == "True False"
 
 
 def test_value_reversible_d3(capsys, schema):

@@ -324,6 +324,21 @@ def test_value_unitary_rejects_a_start_point_of_the_wrong_length():
         settings.value_unitary(initial_points=[np.zeros(12)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_unitary_rejects_a_start_point_that_is_not_finite(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(settings, "minimize", lambda *args: calls.append(args))
+    start = np.array([bad, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    message = r"start point 0 must have finite angles, got \[(nan|-?inf), 0\.1"
+    with pytest.raises(ValueError, match=message):
+        settings.value_unitary(initial_points=[start])
+    # A bad later start is caught before the first restart runs.
+    good = np.array(settings.OPTIMAL_UNITARY_ANGLES)
+    with pytest.raises(ValueError, match="start point 1 must have finite angles"):
+        settings.value_unitary(initial_points=[good, np.full(8, bad)])
+    assert calls == []
+
+
 def test_value_unitary_reports_non_convergence():
     short = settings.value_unitary(settings.OptimizerConfig(max_iterations=1))
     assert short.converged is False
@@ -347,10 +362,23 @@ def test_best_response_beats_perturbed_responses():
             assert reached >= settings._dot(plus, p0) + settings._dot(minus, p1)
 
 
-def test_best_response_to_a_parallel_pair_is_undefined():
-    x = (1.0, 0.0, 0.0)
-    assert settings._best_response(x, x) is None
-    assert settings._best_response(x, (-1.0, 0.0, 0.0)) is None
+def test_best_response_to_a_parallel_pair_takes_a_fixed_orthogonal_unit():
+    # The zero sum or difference gets unit(u x e_k), k the axis of u's smallest component.
+    x, z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+    assert settings._best_response(x, x) == ((x, z), 2.0)
+    assert settings._best_response(x, (-1.0, 0.0, 0.0)) == ((z, x), 2.0)
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        u = _unit(rng.normal(size=3))
+        minus_u = tuple(-c for c in u)
+        k = int(np.argmin(np.abs(u)))
+        expected = _unit(np.cross(u, np.eye(3)[k]))
+        for w, zero in ((u, 1), (minus_u, 0)):
+            pair, reached = settings._best_response(u, w)
+            assert np.allclose(pair[zero], expected, rtol=0.0, atol=1e-15)
+            assert np.allclose(pair[1 - zero], u, rtol=0.0, atol=1e-15)
+            assert abs(settings._dot(pair[0], pair[1])) <= 1e-15
+            assert abs(reached - 2.0) <= 1e-15
 
 
 def test_seesaw_sum_is_the_objective_at_its_angles():
@@ -358,19 +386,41 @@ def test_seesaw_sum_is_the_objective_at_its_angles():
     for i in range(200):
         x0 = rng.uniform(0.0, 2 * np.pi, size=8)
         budget = (1, 2, 3, 4000)[i % 4]
-        point, total, responses = settings._seesaw(x0, budget)
+        point, total, responses, fixed = settings._seesaw(x0, budget)
         assert point.shape == (8,) and 1 <= responses <= budget
         assert abs((0.5 + total / 8) + settings._objective(point)[0]) <= 1e-15
         if budget == 4000:
+            assert fixed and responses < budget
             assert abs((0.5 + total / 8) - TSIRELSON) <= 1e-15
 
 
-def test_seesaw_hands_a_start_with_a_zero_sum_or_difference_on_unchanged():
-    # n_0 = n_1 exactly: all along z, or equal angles.
+def test_seesaw_moves_a_start_with_a_zero_sum_or_difference_off_it():
+    # n_0 = n_1 exactly (all along z, or equal angles): the first response
+    # moves m_1 off the zero difference (from all along z it is flat, and
+    # still taken), and the next one raises the sum to the bound.
     parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
     for x0 in (np.zeros(8), parallel):
-        point, _, responses = settings._seesaw(x0, 4000)
-        assert np.array_equal(point, x0) and responses == 0
+        first, first_total, _, fixed = settings._seesaw(x0, 1)
+        assert not fixed and not np.array_equal(first, x0)
+        assert np.array_equal(first[:4], x0[:4])
+        assert first_total == 2.0
+        second, second_total, _, _ = settings._seesaw(x0, 2)
+        assert abs((0.5 + second_total / 8) - TSIRELSON) <= 1e-15
+        point, total, responses, fixed = settings._seesaw(x0, 4000)
+        assert fixed and responses <= 6
+        assert abs((0.5 + total / 8) - TSIRELSON) <= 1e-15
+
+
+def test_seesaw_stops_after_two_responses_that_do_not_raise_the_sum():
+    # At the optimum every response is flat: two are made, and both are taken.
+    x0 = np.array(settings.OPTIMAL_UNITARY_ANGLES)
+    point, total, responses, fixed = settings._seesaw(x0, 4000)
+    assert fixed and responses == 2
+    assert abs(total - 2 * math.sqrt(2)) <= 1e-15
+    assert np.allclose(point, x0, rtol=0.0, atol=1e-15)
+    # A budget that ends on the second flat response still ends at a fixed point.
+    assert settings._seesaw(x0, 2)[2:] == (2, True)
+    assert settings._seesaw(x0, 1)[2:] == (1, False)
 
 
 def test_value_unitary_converges_from_degenerate_starts():
@@ -383,30 +433,64 @@ def test_value_unitary_converges_from_degenerate_starts():
         assert TSIRELSON - 1e-15 <= result.value <= math.cos(math.pi / 8) ** 2
 
 
-def test_value_unitary_hands_each_seesaw_point_to_minimize(monkeypatch):
+def _recording_minimize(monkeypatch):
+    """Patch ``settings.minimize`` to record each call's arguments and result."""
     calls = []
     minimize = settings.minimize
 
-    def recording(fun, x0, **kwargs):
-        res = minimize(fun, x0, **kwargs)
-        calls.append((fun, x0, kwargs["options"], res.nfev))
+    def recording(fun, x0, budget):
+        res = minimize(fun, x0, budget)
+        calls.append((fun, x0, budget, res))
         return res
 
     monkeypatch.setattr(settings, "minimize", recording)
+    return calls
+
+
+def test_value_unitary_hands_each_start_to_minimize(monkeypatch):
+    calls = _recording_minimize(monkeypatch)
     config = settings.OptimizerConfig(seed=3, max_iterations=50)
     start = np.array(settings.OPTIMAL_UNITARY_ANGLES)
     result = settings.value_unitary(config, initial_points=[start])
     rng = np.random.default_rng(3)
     starts = [start] + [rng.uniform(0.0, 2 * np.pi, size=8) for _ in range(32)]
     assert len(calls) == len(starts)
-    responses = 0
-    for (fun, x0, options, _), s in zip(calls, starts):
-        point, _, n = settings._seesaw(s, 50)
-        assert fun is settings._objective
-        assert options == {"maxiter": 50, "ftol": 1e-12, "gtol": 1e-8}
-        assert np.array_equal(x0, point)
-        responses += n
-    assert result.strategies_examined == responses + sum(nfev for *_, nfev in calls)
+    for (fun, x0, budget, res), s in zip(calls, starts):
+        assert fun is settings._objective and budget == 50
+        assert np.array_equal(x0, s)
+        point, _, responses, _ = settings._seesaw(s, 50)
+        assert np.array_equal(res.x, point) and res.responses == responses and res.nfev == 1
+    best = min(calls, key=lambda call: call[3].fun)[3]
+    assert result.converged is best.success
+    assert result.strategies_examined == sum(res.responses + res.nfev for *_, res in calls)
+
+
+def test_minimize_converges_from_degenerate_starts_on_its_own():
+    antiparallel = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
+    parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
+    for x0 in (np.zeros(8), parallel, antiparallel):
+        res = settings.minimize(settings._objective, x0, 4000)
+        assert res.success is True and res.nfev == 1
+        assert TSIRELSON - 1e-15 <= -res.fun <= math.cos(math.pi / 8) ** 2
+
+
+def test_minimize_fails_at_the_budget_or_off_a_stationary_point():
+    x0 = np.random.default_rng(79).uniform(0.0, 2 * np.pi, size=8)
+    assert settings.minimize(settings._objective, x0, 1).success is False
+    # A see-saw fixed point is judged on the objective's own gradient.
+    res = settings.minimize(lambda x: (0.0, [0.0] * 7 + [2e-8]), x0, 4000)
+    assert res.success is False and res.fun == 0.0
+    assert settings.minimize(lambda x: (0.0, [-1e-8] * 8), x0, 4000).success is True
+
+
+def test_every_restart_ends_at_a_stationary_fixed_point(monkeypatch):
+    calls = _recording_minimize(monkeypatch)
+    for seed in [*range(30), 12345]:
+        settings.value_unitary(settings.OptimizerConfig(seed=seed))
+    assert len(calls) == 31 * settings.UNITARY_RESTARTS
+    for *_, budget, res in calls:
+        assert res.success and res.responses < budget
+        assert max(abs(g) for g in settings._objective(res.x)[1]) <= 1e-8
 
 
 def test_objective_is_minus_the_evaluated_average():
