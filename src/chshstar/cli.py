@@ -17,8 +17,8 @@ writes ``--output``, prints and picks the exit code; commands raise
 
 ``value --dimension`` defaults to the setting's own dimension (2 for
 ``reversible``, which also takes 3); a dimension the setting does not take
-is a usage error.  ``value --setting unitary`` runs the optimizer's 32 seeded
-restarts, each capped by ``--max-iterations``.  A witness is shown as
+is a usage error.  ``value --setting unitary`` runs the optimizer once, from
+one seeded start, capped by ``--max-iterations``.  A witness is shown as
 function tables (classical) or by the names of its initial state,
 measurement and unitary gates, with a gate no name fits given as its raw
 matrix.  Names and symbolic values are recognized to ``ATOL_NAME`` (1e-9).
@@ -208,10 +208,10 @@ def _dump_json(payload: dict) -> str:
 
 
 def _warn_unconverged(result: settings.ValueResult) -> None:
-    """One stderr line when the optimizer's best run stopped before converging."""
+    """One stderr line when the optimizer run stopped before converging."""
     if result.converged is False:
         print(
-            "warning: the best optimizer run did not converge; the value may be below the optimum",
+            "warning: the optimizer run did not converge; the value may be below the optimum",
             file=sys.stderr,
         )
 
@@ -512,7 +512,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=None,
                    help="the setting's dimension: 2 or 3 for reversible (default 2), its own otherwise")
     p.add_argument("--epsilon", type=float, default=None, help="for --setting clifford-plus-rz")
-    p.add_argument("--max-iterations", type=int, default=4000)
+    p.add_argument("--max-iterations", type=int, default=settings.OptimizerConfig.max_iterations)
     add_common(p, cmd_value)
 
     p = sub.add_parser("verify-lemma1", help="check the two-player equivalence numerically")

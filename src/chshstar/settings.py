@@ -2,12 +2,13 @@
 
 Finite settings (Clifford, classical reversible/irreversible, classical
 mod-3) are searched exhaustively; the unitary setting is optimized over the
-Bloch angles of the normal form's four Bloch vectors by 32 seeded restarts.
-Each restart is ``minimize``: a closed-form see-saw of best responses, whose
-end point is then checked for stationarity on the closed-form gradient, so
-no outside optimizer is needed.  ``OptimizerConfig`` sets only the budget per
-restart and the seed.  Every returned witness is re-evaluated through the
-generic evaluators as a consistency check before the result is handed back.
+Bloch angles of the normal form's four Bloch vectors by one ``minimize``
+from one seeded start: a closed-form see-saw of best responses, whose end
+point is then checked for stationarity on the closed-form gradient, so no
+outside optimizer is needed.  ``OptimizerConfig`` sets only the budget of
+see-saw responses and the seed of the start.  Every returned witness is
+re-evaluated through the generic evaluators as a consistency check before
+the result is handed back.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,9 +47,7 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
-# The unitary optimizer's seeded starts, and the largest gradient component
-# at which a see-saw fixed point counts as converged.
-UNITARY_RESTARTS = 32
+# The largest gradient component at which a see-saw fixed point counts as converged.
 STATIONARY_GTOL = 1e-8
 
 # Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
@@ -66,7 +66,7 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The unitary optimizer's budget per restart and the seed of its starts.
+    """The unitary optimizer's budget of see-saw responses and the seed of its start.
 
     Both are integers (numpy's too), kept as Python ints: a budget of at
     least 1 and a seed of at least 0.
@@ -105,11 +105,17 @@ class SettingSpec:
         allowed, _ = SETTINGS[self.kind]
         if self.dimension is None:
             object.__setattr__(self, "dimension", allowed[0])
+        try:
+            object.__setattr__(self, "dimension", operator.index(self.dimension))
+        except TypeError:
+            raise ValueError(f"dimension must be an integer, got {self.dimension!r}") from None
         if self.dimension not in allowed:
             raise ValueError(
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"
             )
         if self.kind == "clifford_plus_rz":
+            if self.epsilon is not None and not isinstance(self.epsilon, numbers.Real):
+                raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
             if self.epsilon is None or not 0 < self.epsilon < np.pi / 2:
                 raise ValueError("clifford_plus_rz requires epsilon in (0, pi/2)")
         elif self.epsilon is not None:
@@ -126,7 +132,7 @@ class ValueResult:
     strategies_examined: int
     # Clifford setting: the stabilizer overlaps' largest deviation from {0, 1/2, 1}.
     quantization_error: float | None = None
-    # Optimized settings: whether the best optimizer run converged.
+    # Optimized settings: whether the optimizer run converged.
     converged: bool | None = None
 
 
@@ -505,10 +511,10 @@ def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
     probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
     1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
     rounding stays below the ulp of 1/2.  Each partial derivative replaces
-    one vector in that sum by its own partial.  ``minimize`` calls it once
-    per restart, at the see-saw's end point, to value that point and check
-    it for stationarity; on 8 angles numpy's per-call overhead would
-    dominate, so it runs on Python floats.
+    one vector in that sum by its own partial.  ``minimize`` calls it once,
+    at the see-saw's end point, to value that point and check it for
+    stationarity; on 8 angles numpy's per-call overhead would dominate, so
+    it runs on Python floats.
     """
     x = angles.tolist()
     n0, n1, m0, m1 = (_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6))
@@ -563,52 +569,39 @@ def minimize(objective, x0: np.ndarray, budget: int) -> SeesawResult:
     return SeesawResult(x, fun, 1, fixed and stationary, responses)
 
 
-def value_unitary(config: OptimizerConfig | None = None, initial_points=None) -> ValueResult:
+def value_unitary(config: OptimizerConfig | None = None) -> ValueResult:
     """Maximize the average win over the normal form's four Bloch vectors.
 
     The normal form (|+>, four unitaries, X measurement) loses nothing for a
     qubit, since the initial state and the measurement basis can be absorbed
     into the gates.  Its average win depends on the gates only through the
     Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
-    their 8 Bloch angles, from ``UNITARY_RESTARTS`` seeded uniform starts;
-    ``initial_points`` adds explicit extra starts, each checked to be 8
-    finite angles before any restart runs.  Each start is one ``minimize``
-    call on ``_objective`` with ``config.max_iterations`` as the cap on its
-    see-saw responses.  The witness is ``_bloch_strategy`` of the best
-    angles.  ``converged`` of the result is the success flag of the best
-    restart, and ``strategies_examined`` counts the see-saw's responses and
-    the objective evaluations over all restarts.
+    their 8 Bloch angles: one ``minimize`` call on ``_objective`` from a
+    uniform start drawn with ``config.seed``, with ``config.max_iterations``
+    as the cap on its see-saw responses.  One start suffices: the B response
+    m_b = unit(n_0 + (-1)^b n_1) is an orthogonal pair, since
+    (n_0 + n_1) . (n_0 - n_1) = 0 (a zero sum or difference gets a unit
+    orthogonal to n_0), and against any orthogonal pair the A response
+    reaches |m_0 + m_1| + |m_0 - m_1| = 2 sqrt(2), Tsirelson's sum.  The
+    witness is ``_bloch_strategy`` of the end point.  ``converged`` of the
+    result is the run's success flag, and ``strategies_examined`` counts its
+    see-saw responses and its objective evaluation.
     """
     config = config or OptimizerConfig()
-    n_params = 8
-
-    starts = [np.asarray(p, dtype=float) for p in (initial_points or [])]
-    for k, x0 in enumerate(starts):
-        if x0.shape != (n_params,):
-            raise ValueError(f"start point must have {n_params} angles, got {x0.shape}")
-        if not np.isfinite(x0).all():
-            raise ValueError(f"start point {k} must have finite angles, got {x0.tolist()}")
-    rng = np.random.default_rng(config.seed)
-    starts += [rng.uniform(0.0, 2 * np.pi, size=n_params) for _ in range(UNITARY_RESTARTS)]
-
-    best_val, best_angles, converged, evaluations = -np.inf, None, None, 0
-    for x0 in starts:
-        res = minimize(_objective, x0, config.max_iterations)
-        evaluations += res.responses + res.nfev
-        if -res.fun > best_val:
-            best_val, best_angles, converged = -res.fun, res.x, res.success
+    x0 = np.random.default_rng(config.seed).uniform(0.0, 2 * np.pi, size=8)
+    res = minimize(_objective, x0, config.max_iterations)
 
     # The value is the witness's exact evaluation, not the optimizer's own
     # number, which can lie an ulp or two above it (and above cos^2(pi/8)).
-    witness = _bloch_strategy(best_angles)
+    witness = _bloch_strategy(res.x)
     report = game.evaluate(game.GameSpec(2), witness)
-    _check_witness(best_val, report.average)
+    _check_witness(-res.fun, report.average)
     return ValueResult(
         value=report.average,
         witness=witness,
         method="optimized",
-        strategies_examined=evaluations,
-        converged=converged,
+        strategies_examined=res.responses + res.nfev,
+        converged=res.success,
     )
 
 

@@ -81,6 +81,11 @@ def test_value_unitary_warns_when_not_converged(capsys, schema):
     assert "converge" in err
 
 
+def test_value_max_iterations_defaults_to_the_config_default():
+    args = cli.build_parser(12345).parse_args(["value", "--setting", "unitary"])
+    assert args.max_iterations == settings.OptimizerConfig().max_iterations
+
+
 def _fresh_python(code):
     """stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(chshstar.__file__))

@@ -266,17 +266,19 @@ def test_value_unitary_reaches_tsirelson():
 
 
 def test_value_unitary_never_exceeds_tsirelson():
-    # The optimizer's own best number can lie an ulp or two above the bound;
+    # The optimizer's own number can lie an ulp or two above the bound;
     # the reported value is the exact evaluation of the witness.
-    for seed in [*range(30), 12345]:
+    for seed in [*range(1000), 12345]:
         result = settings.value_unitary(settings.OptimizerConfig(seed=seed))
         assert result.value <= math.cos(math.pi / 8) ** 2
         assert result.value == game.evaluate(game.GameSpec(2), result.witness).average
 
 
 def test_value_unitary_seeded_at_optimum():
-    result = settings.value_unitary(initial_points=[settings.OPTIMAL_UNITARY_ANGLES])
-    assert result.value >= TSIRELSON - 1e-12
+    res = settings.minimize(settings._objective, np.array(settings.OPTIMAL_UNITARY_ANGLES), 4000)
+    assert res.success is True
+    value = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
+    assert value >= TSIRELSON - 1e-12
 
 
 def test_initial_state_and_measurement_fold_into_the_normal_form():
@@ -319,24 +321,25 @@ def test_bloch_strategy_builds_the_witness():
     assert max(abs(built[k] - optimal[k]) for k in optimal) <= 1e-15
 
 
-def test_value_unitary_rejects_a_start_point_of_the_wrong_length():
-    with pytest.raises(ValueError, match="start point must have 8 angles"):
-        settings.value_unitary(initial_points=[np.zeros(12)])
+def test_value_unitary_takes_no_start_points():
+    # One seeded start per call: explicit starts and the restart count are gone.
+    with pytest.raises(TypeError, match="initial_points"):
+        settings.value_unitary(initial_points=[settings.OPTIMAL_UNITARY_ANGLES])
+    assert not hasattr(settings, "UNITARY_RESTARTS")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_value_unitary_rejects_a_start_point_that_is_not_finite(monkeypatch, bad):
-    calls = []
-    monkeypatch.setattr(settings, "minimize", lambda *args: calls.append(args))
-    start = np.array([bad, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-    message = r"start point 0 must have finite angles, got \[(nan|-?inf), 0\.1"
-    with pytest.raises(ValueError, match=message):
-        settings.value_unitary(initial_points=[start])
-    # A bad later start is caught before the first restart runs.
-    good = np.array(settings.OPTIMAL_UNITARY_ANGLES)
-    with pytest.raises(ValueError, match="start point 1 must have finite angles"):
-        settings.value_unitary(initial_points=[good, np.full(8, bad)])
-    assert calls == []
+def test_one_response_each_reaches_tsirelsons_sum():
+    # Why one start suffices: the B response to any (n_0, n_1) is an
+    # orthogonal pair, and the A response to an orthogonal pair reaches 2 sqrt(2).
+    rng = np.random.default_rng(83)
+    x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+    pairs = [(x, x), (x, (-1.0, 0.0, 0.0)), (x, y)]
+    pairs += [tuple(_unit(rng.normal(size=3)) for _ in range(2)) for _ in range(500)]
+    for n0, n1 in pairs:
+        (m0, m1), _ = settings._best_response(n0, n1)
+        assert abs(settings._dot(m0, m1)) <= 1e-14
+        _, reached = settings._best_response(m0, m1)
+        assert abs(reached - 2 * math.sqrt(2)) <= 1e-14
 
 
 def test_value_unitary_reports_non_convergence():
@@ -428,9 +431,10 @@ def test_value_unitary_converges_from_degenerate_starts():
     antiparallel = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
     parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
     for x0 in (np.zeros(8), parallel, antiparallel):
-        result = settings.value_unitary(initial_points=[x0])
-        assert result.converged is True
-        assert TSIRELSON - 1e-15 <= result.value <= math.cos(math.pi / 8) ** 2
+        res = settings.minimize(settings._objective, x0, 4000)
+        assert res.success is True
+        value = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
+        assert TSIRELSON - 1e-15 <= value <= math.cos(math.pi / 8) ** 2
 
 
 def _recording_minimize(monkeypatch):
@@ -449,20 +453,20 @@ def _recording_minimize(monkeypatch):
 
 def test_value_unitary_hands_each_start_to_minimize(monkeypatch):
     calls = _recording_minimize(monkeypatch)
-    config = settings.OptimizerConfig(seed=3, max_iterations=50)
-    start = np.array(settings.OPTIMAL_UNITARY_ANGLES)
-    result = settings.value_unitary(config, initial_points=[start])
-    rng = np.random.default_rng(3)
-    starts = [start] + [rng.uniform(0.0, 2 * np.pi, size=8) for _ in range(32)]
-    assert len(calls) == len(starts)
-    for (fun, x0, budget, res), s in zip(calls, starts):
-        assert fun is settings._objective and budget == 50
-        assert np.array_equal(x0, s)
-        point, _, responses, _ = settings._seesaw(s, 50)
+    for seed, budget in ((3, 50), (3, 1), (12345, 4000)):
+        config = settings.OptimizerConfig(seed=seed, max_iterations=budget)
+        result = settings.value_unitary(config)
+        (fun, x0, passed_budget, res), = calls
+        calls.clear()
+        assert fun is settings._objective and passed_budget == budget
+        start = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=8)
+        assert np.array_equal(x0, start)
+        point, _, responses, _ = settings._seesaw(start, budget)
         assert np.array_equal(res.x, point) and res.responses == responses and res.nfev == 1
-    best = min(calls, key=lambda call: call[3].fun)[3]
-    assert result.converged is best.success
-    assert result.strategies_examined == sum(res.responses + res.nfev for *_, res in calls)
+        assert result.converged is res.success
+        assert result.strategies_examined == res.responses + res.nfev
+        evaluated = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
+        assert result.value == evaluated
 
 
 def test_minimize_converges_from_degenerate_starts_on_its_own():
@@ -485,9 +489,10 @@ def test_minimize_fails_at_the_budget_or_off_a_stationary_point():
 
 def test_every_restart_ends_at_a_stationary_fixed_point(monkeypatch):
     calls = _recording_minimize(monkeypatch)
-    for seed in [*range(30), 12345]:
-        settings.value_unitary(settings.OptimizerConfig(seed=seed))
-    assert len(calls) == 31 * settings.UNITARY_RESTARTS
+    seeds = [*range(1000), 12345, 2 ** 31 - 1]
+    for seed in seeds:
+        assert settings.value_unitary(settings.OptimizerConfig(seed=seed)).converged is True
+    assert len(calls) == len(seeds)
     for *_, budget, res in calls:
         assert res.success and res.responses < budget
         assert max(abs(g) for g in settings._objective(res.x)[1]) <= 1e-8
@@ -865,7 +870,7 @@ def test_value_classical_q3_rejects_unknown_family():
 def test_setting_value_ordering():
     reversible = settings.value_classical_reversible(2).value
     clifford = settings.value_clifford().value
-    unitary = settings.value_unitary(initial_points=[settings.OPTIMAL_UNITARY_ANGLES]).value
+    unitary = settings.value_unitary().value
     irreversible = settings.value_classical_irreversible().value
     assert reversible == clifford == 0.75
     assert 0.75 < unitary < 1.0
@@ -883,6 +888,26 @@ def test_setting_spec_validation():
     with pytest.raises(ValueError):
         settings.SettingSpec(kind="unitary", dimension=2, epsilon=0.3)
     settings.SettingSpec(kind="clifford_plus_rz", dimension=2, epsilon=0.3)
+
+
+def test_setting_spec_reads_the_dimension_as_an_integer():
+    for bad in (3.0, 2.5, "3", math.nan):
+        with pytest.raises(ValueError) as raised:
+            settings.SettingSpec(kind="classical_reversible", dimension=bad)
+        assert str(raised.value) == f"dimension must be an integer, got {bad!r}"
+    spec = settings.SettingSpec(kind="classical_reversible", dimension=np.int64(3))
+    assert type(spec.dimension) is int and spec == settings.SettingSpec("classical_reversible", 3)
+    assert settings.compute_value(spec).value == 1.0
+
+
+def test_setting_spec_rejects_an_epsilon_that_is_not_real():
+    for bad in ("0.3", 0.3 + 0j, [0.3]):
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            settings.SettingSpec(kind="clifford_plus_rz", epsilon=bad)
+    for eps in (0.3, np.float32(0.3), np.float64(0.3)):
+        assert settings.SettingSpec(kind="clifford_plus_rz", epsilon=eps).epsilon == eps
+    with pytest.raises(ValueError, match="requires epsilon in"):
+        settings.SettingSpec(kind="clifford_plus_rz")
 
 
 def test_setting_spec_defaults_to_the_settings_own_dimension():
