@@ -18,10 +18,11 @@ writes ``--output``, prints and picks the exit code; commands raise
 ``value --dimension`` defaults to the setting's own dimension (2 for
 ``reversible``, which also takes 3); a dimension the setting does not take
 is a usage error.  ``value --setting unitary`` runs the optimizer once, from
-one seeded start, capped by ``--max-iterations``.  A witness is shown as
-function tables (classical) or by the names of its initial state,
-measurement and unitary gates, with a gate no name fits given as its raw
-matrix.  Names and symbolic values are recognized to ``ATOL_NAME`` (1e-9).
+one seeded start, to a see-saw fixed point or, when it stalls, to the
+internal budget ``settings.SEESAW_BUDGET``.  A witness is shown as function
+tables (classical) or by the names of its initial state, measurement and
+unitary gates, with a gate no name fits given as its raw matrix.  Names and
+symbolic values are recognized to ``ATOL_NAME`` (1e-9).
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 JSON output is deterministic given ``--seed`` (no timestamps in the
@@ -234,7 +235,7 @@ _SETTING_CLI = {
 def cmd_value(args) -> tuple[dict, list[str], bool]:
     setting = settings.SettingSpec(kind=_SETTING_CLI[args.setting], dimension=args.dimension,
                                    epsilon=args.epsilon)
-    config = settings.OptimizerConfig(max_iterations=args.max_iterations, seed=args.seed)
+    config = settings.OptimizerConfig(seed=args.seed)
     t0 = time.perf_counter()
     result = settings.compute_value(setting, config)
     elapsed = time.perf_counter() - t0
@@ -349,7 +350,7 @@ def cmd_landauer(args) -> tuple[dict, list[str], bool]:
     if (args.p is None) == (args.target is None):
         raise ValueError("give exactly one of --p or --target")
     if args.p is not None:
-        p = args.p
+        p = landauer._check_probability(args.p)  # also reports --p -0 as 0.0
     else:
         target = TSIRELSON if args.target == "tsirelson" else float(args.target)
         p = landauer.solve_erasure_probability(target)
@@ -512,7 +513,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=None,
                    help="the setting's dimension: 2 or 3 for reversible (default 2), its own otherwise")
     p.add_argument("--epsilon", type=float, default=None, help="for --setting clifford-plus-rz")
-    p.add_argument("--max-iterations", type=int, default=settings.OptimizerConfig.max_iterations)
     add_common(p, cmd_value)
 
     p = sub.add_parser("verify-lemma1", help="check the two-player equivalence numerically")

@@ -31,7 +31,7 @@ class EntropyReport:
 
 
 def _check_probability(p: float) -> float:
-    p = float(p)
+    p = float(p) + 0.0  # -0.0 + 0.0 is 0.0
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erase probability {p} outside [0, 1]")
     return p

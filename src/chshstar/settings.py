@@ -3,12 +3,11 @@
 Finite settings (Clifford, classical reversible/irreversible, classical
 mod-3) are searched exhaustively; the unitary setting is optimized over the
 Bloch angles of the normal form's four Bloch vectors by one ``minimize``
-from one seeded start: a closed-form see-saw of best responses, whose end
-point is then checked for stationarity on the closed-form gradient, so no
-outside optimizer is needed.  ``OptimizerConfig`` sets only the budget of
-see-saw responses and the seed of the start.  Every returned witness is
-re-evaluated through the generic evaluators as a consistency check before
-the result is handed back.
+from one seeded start: a closed-form see-saw of best responses, which stops
+at its own fixed point, so no outside optimizer is needed.  Its budget of
+responses is the constant ``SEESAW_BUDGET``; ``OptimizerConfig`` sets only
+the seed of the start.  Every returned witness is re-evaluated through the
+generic evaluators as a consistency check before the result is handed back.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
-# The largest gradient component at which a see-saw fixed point counts as converged.
-STATIONARY_GTOL = 1e-8
+# The most see-saw responses ``minimize`` computes.  Every seeded run ends at a
+# fixed point within 8 responses, so the budget only bounds a run that stalls.
+SEESAW_BUDGET = 4000
 
 # Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
 # strategy: n_a is the Bloch vector of A_a|+>, m_b that of B_b^+|+>.
@@ -66,24 +66,15 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The unitary optimizer's budget of see-saw responses and the seed of its start.
+    """The seed of the unitary optimizer's start: an integer (numpy's too) >= 0, kept as an int."""
 
-    Both are integers (numpy's too), kept as Python ints: a budget of at
-    least 1 and a seed of at least 0.
-    """
-
-    max_iterations: int = 4000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("max_iterations", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -173,10 +164,16 @@ def irreversible_strategy() -> game.Strategy:
     )
 
 
-def rz_pair_strategy(epsilon: float) -> game.Strategy:
-    """The optimal play with T replaced by rz(epsilon), T^+ by rz(epsilon)^+."""
+def _check_epsilon(epsilon) -> None:
+    if not isinstance(epsilon, numbers.Real):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"epsilon {epsilon} outside the open interval (0, pi/2)")
+
+
+def rz_pair_strategy(epsilon: float) -> game.Strategy:
+    """The optimal play with T replaced by rz(epsilon), T^+ by rz(epsilon)^+."""
+    _check_epsilon(epsilon)
     return normal_form(I2, S, rz(epsilon).conj().T, rz(epsilon))
 
 
@@ -434,10 +431,10 @@ def _sum_and_difference(u: tuple, w: tuple) -> tuple[tuple, tuple]:
     return (u[0] + w[0], u[1] + w[1], u[2] + w[2]), (u[0] - w[0], u[1] - w[1], u[2] - w[2])
 
 
-def _bloch(theta: float, phi: float) -> tuple[tuple, tuple, tuple]:
-    """The Bloch vector of polar angle theta and azimuth phi, and its two partials."""
-    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-    return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
+def _bloch(theta: float, phi: float) -> tuple:
+    """The Bloch vector of polar angle theta and azimuth phi."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
 def _bloch_angles(v: tuple) -> tuple[float, float]:
@@ -485,7 +482,7 @@ def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int, bool]:
     stopped at a fixed point.
     """
     x = x0.tolist()
-    vectors = [_bloch(x[k], x[k + 1])[0] for k in (0, 2, 4, 6)]
+    vectors = [_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6)]
     m_pm = _sum_and_difference(vectors[2], vectors[3])
     total = _dot(vectors[0], m_pm[0]) + _dot(vectors[1], m_pm[1])
     responses = flat = 0
@@ -502,31 +499,24 @@ def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int, bool]:
     return np.array(x), total, responses, flat == 2
 
 
-def _objective(angles: np.ndarray) -> tuple[float, list[float]]:
-    """Minus the average win of ``_bloch_strategy(angles)``, and its gradient.
+def _objective(angles: np.ndarray) -> float:
+    """Minus the average win of ``_bloch_strategy(angles)``.
 
     Angles 2k, 2k+1 are the Bloch angles (theta, phi) of the k-th vector of
     (n_0, n_1, m_0, m_1): n_a is the Bloch vector of A_a|+> and m_b that of
     B_b^+|+>.  In the normal form (|+>, X measurement) input (a, b) wins with
     probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
     1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
-    rounding stays below the ulp of 1/2.  Each partial derivative replaces
-    one vector in that sum by its own partial.  ``minimize`` calls it once,
-    at the see-saw's end point, to value that point and check it for
-    stationarity; on 8 angles numpy's per-call overhead would dominate, so
-    it runs on Python floats.
+    rounding stays below the ulp of 1/2.  ``minimize`` calls it once, at
+    the see-saw's end point, to value that point; on 8 angles numpy's
+    per-call overhead would dominate, so it runs on Python floats.
     """
     x = angles.tolist()
     n0, n1, m0, m1 = (_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6))
-    # M_a = m_0 + (-1)^a m_1 and N_b = n_0 + (-1)^b n_1, so that
-    # sum_ab (-1)^{ab} n_a . m_b = sum_a n_a . M_a = sum_b N_b . m_b.
-    m_pm = _sum_and_difference(m0[0], m1[0])
-    n_pm = _sum_and_difference(n0[0], n1[0])
-    total = _dot(n0[0], m_pm[0]) + _dot(n1[0], m_pm[1])
-    # Each vector's two partials are taken against the sum it is paired with.
-    pairs = ((n0, m_pm[0]), (n1, m_pm[1]), (m0, n_pm[0]), (m1, n_pm[1]))
-    grad = [-_dot(w, d) / 8.0 for (_, *partials), w in pairs for d in partials]
-    return -(0.5 + total / 8.0), grad
+    # With M_a = m_0 + (-1)^a m_1, sum_ab (-1)^{ab} n_a . m_b = sum_a n_a . M_a.
+    m_pm = _sum_and_difference(m0, m1)
+    total = _dot(n0, m_pm[0]) + _dot(n1, m_pm[1])
+    return -(0.5 + total / 8.0)
 
 
 def _bloch_gate(theta: float, phi: float) -> np.ndarray:
@@ -554,19 +544,16 @@ class SeesawResult(NamedTuple):
     responses: int
 
 
-def minimize(objective, x0: np.ndarray, budget: int) -> SeesawResult:
+def minimize(objective, x0: np.ndarray) -> SeesawResult:
     """The unitary optimizer's local search: ``_seesaw`` from ``x0``, then one ``objective`` call.
 
-    ``objective`` maps 8 Bloch angles to minus the average win and its
-    gradient (``_objective``); it is called once, at the see-saw's end
+    ``objective`` (``_objective``) is called once, at the see-saw's end
     point, so ``nfev`` is 1.  ``success`` means that the see-saw stopped at
-    a fixed point, not at the ``budget`` of responses, and that there the
-    gradient's largest component is at most ``STATIONARY_GTOL``.
+    a fixed point, not at ``SEESAW_BUDGET`` responses; there each Bloch
+    vector is the unit vector of the sum it is paired with, a zero gradient.
     """
-    x, _, responses, fixed = _seesaw(x0, budget)
-    fun, grad = objective(x)
-    stationary = max(abs(g) for g in grad) <= STATIONARY_GTOL
-    return SeesawResult(x, fun, 1, fixed and stationary, responses)
+    x, _, responses, fixed = _seesaw(x0, SEESAW_BUDGET)
+    return SeesawResult(x, objective(x), 1, fixed, responses)
 
 
 def value_unitary(config: OptimizerConfig | None = None) -> ValueResult:
@@ -577,19 +564,18 @@ def value_unitary(config: OptimizerConfig | None = None) -> ValueResult:
     into the gates.  Its average win depends on the gates only through the
     Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
     their 8 Bloch angles: one ``minimize`` call on ``_objective`` from a
-    uniform start drawn with ``config.seed``, with ``config.max_iterations``
-    as the cap on its see-saw responses.  One start suffices: the B response
-    m_b = unit(n_0 + (-1)^b n_1) is an orthogonal pair, since
+    uniform start drawn with ``config.seed``.  One start suffices: the B
+    response m_b = unit(n_0 + (-1)^b n_1) is an orthogonal pair, since
     (n_0 + n_1) . (n_0 - n_1) = 0 (a zero sum or difference gets a unit
     orthogonal to n_0), and against any orthogonal pair the A response
     reaches |m_0 + m_1| + |m_0 - m_1| = 2 sqrt(2), Tsirelson's sum.  The
-    witness is ``_bloch_strategy`` of the end point.  ``converged`` of the
-    result is the run's success flag, and ``strategies_examined`` counts its
-    see-saw responses and its objective evaluation.
+    witness is ``_bloch_strategy`` of the end point.  ``converged`` is True
+    when the see-saw stopped at a fixed point, and ``strategies_examined``
+    counts its see-saw responses and its objective evaluation.
     """
     config = config or OptimizerConfig()
     x0 = np.random.default_rng(config.seed).uniform(0.0, 2 * np.pi, size=8)
-    res = minimize(_objective, x0, config.max_iterations)
+    res = minimize(_objective, x0)
 
     # The value is the witness's exact evaluation, not the optimizer's own
     # number, which can lie an ulp or two above it (and above cos^2(pi/8)).
@@ -649,8 +635,7 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     """
     eps_list = list(eps_grid)
     for eps in eps_list:
-        if not 0 < eps < np.pi / 2:
-            raise ValueError(f"epsilon {eps} outside the open interval (0, pi/2)")
+        _check_epsilon(eps)
     if not eps_list:
         return []
     spec = game.GameSpec(2)

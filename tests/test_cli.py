@@ -72,18 +72,13 @@ def test_value_unitary_json(capsys, schema):
     assert payload["seed"] == 12345
 
 
-def test_value_unitary_warns_when_not_converged(capsys, schema):
-    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--max-iterations", "1",
-                           "--format", "json")
+def test_value_unitary_warns_when_not_converged(capsys, schema, monkeypatch):
+    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
+    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
     assert rc == 0
     validate(json.loads(out), schema)
     assert err.count("\n") == 1 and err.startswith("warning: ")
     assert "converge" in err
-
-
-def test_value_max_iterations_defaults_to_the_config_default():
-    args = cli.build_parser(12345).parse_args(["value", "--setting", "unitary"])
-    assert args.max_iterations == settings.OptimizerConfig().max_iterations
 
 
 def _fresh_python(code):
@@ -410,6 +405,19 @@ def test_landauer_no_erasure(capsys):
     assert "average entropy: 0.000000000000" in out
 
 
+def test_landauer_reports_minus_zero_as_zero(capsys, schema):
+    rc, out, _ = run_cli(capsys, "landauer", "--p", "-0", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    validate(payload, schema)
+    entropy = payload["entropy"]
+    for v in (payload["erase_probability"], entropy["average_bits"],
+              *entropy["per_input_bits_erased"].values()):
+        assert v == 0.0 and math.copysign(1, v) == 1
+    rc, out, _ = run_cli(capsys, "landauer", "--p", "-0")
+    assert rc == 0 and "-0.000" not in out
+
+
 def test_landauer_requires_exactly_one_of_p_target(capsys):
     for argv in ([], ["--p", "0.5", "--target", "0.9"], ["--p", "1.5"], ["--target", "0.5"],
                  ["--target", "abc"]):
@@ -471,9 +479,7 @@ def test_reproduce_all_rejects_n_random_below_one(capsys, monkeypatch):
 
 
 def test_reproduce_all_warns_when_not_converged(capsys, monkeypatch):
-    value_unitary = settings.value_unitary
-    monkeypatch.setattr(settings, "value_unitary",
-                        lambda config: value_unitary(replace(config, max_iterations=1)))
+    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
     rc, out, err = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
     assert rc == 1  # the unitary row misses cos^2(pi/8)
     assert json.loads(out)["all_ok"] is False

@@ -224,12 +224,12 @@ def test_value_classical_irreversible():
 # ---------------------------------------------------------------------------
 
 def test_retired_optimizer_knobs_are_rejected(capsys):
-    # The restart count and L-BFGS-B's ftol are constants: neither the
-    # config nor the value command takes them any more.
-    for knob in (dict(restarts=64), dict(tolerance=1e-9)):
+    # The restart count, L-BFGS-B's ftol and the see-saw's budget are
+    # constants: neither the config nor the value command takes them any more.
+    for knob in (dict(restarts=64), dict(tolerance=1e-9), dict(max_iterations=1)):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             settings.OptimizerConfig(**knob)
-    for flag in (["--restarts", "64"], ["--tolerance", "1e-9"]):
+    for flag in (["--restarts", "64"], ["--tolerance", "1e-9"], ["--max-iterations", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["value", "--setting", "unitary", *flag])
         assert exc.value.code == 2
@@ -238,22 +238,20 @@ def test_retired_optimizer_knobs_are_rejected(capsys):
 
 def test_optimizer_config_takes_only_non_negative_integers():
     cases = (
-        (dict(max_iterations=math.nan), "max_iterations must be an integer, got nan"),
-        (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
-        (dict(max_iterations=math.inf), "max_iterations must be an integer, got inf"),
-        (dict(max_iterations="10"), "max_iterations must be an integer, got '10'"),
-        (dict(max_iterations=0), "max_iterations must be positive"),
-        (dict(seed=1.5), "seed must be an integer, got 1.5"),
-        (dict(seed=np.float64(3.0)), "seed must be an integer, got np.float64(3.0)"),
-        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (math.nan, "seed must be an integer, got nan"),
+        (math.inf, "seed must be an integer, got inf"),
+        ("10", "seed must be an integer, got '10'"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (np.float64(3.0), "seed must be an integer, got np.float64(3.0)"),
+        (-1, "seed must be >= 0, got -1"),
     )
-    for fields, message in cases:
+    for seed, message in cases:
         with pytest.raises(ValueError) as raised:
-            settings.OptimizerConfig(**fields)
+            settings.OptimizerConfig(seed=seed)
         assert str(raised.value) == message
-    config = settings.OptimizerConfig(max_iterations=np.int64(50), seed=np.uint16(3))
-    assert type(config.max_iterations) is int and type(config.seed) is int
-    assert config == settings.OptimizerConfig(max_iterations=50, seed=3)
+    for seed in (np.int64(3), np.uint16(3)):
+        config = settings.OptimizerConfig(seed=seed)
+        assert type(config.seed) is int and config == settings.OptimizerConfig(seed=3)
 
 
 def test_value_unitary_reaches_tsirelson():
@@ -275,7 +273,7 @@ def test_value_unitary_never_exceeds_tsirelson():
 
 
 def test_value_unitary_seeded_at_optimum():
-    res = settings.minimize(settings._objective, np.array(settings.OPTIMAL_UNITARY_ANGLES), 4000)
+    res = settings.minimize(settings._objective, np.array(settings.OPTIMAL_UNITARY_ANGLES))
     assert res.success is True
     value = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
     assert value >= TSIRELSON - 1e-12
@@ -313,7 +311,7 @@ def test_bloch_strategy_builds_the_witness():
         ket = settings._bloch_gate(theta, phi) @ q.plus_ket()
         rho = q.projector(ket)
         bloch = [np.trace(rho @ p).real for p in (q.X, q.Y, q.Z)]
-        assert np.allclose(bloch, settings._bloch(theta, phi)[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(bloch, settings._bloch(theta, phi), rtol=0.0, atol=1e-12)
     spec = game.GameSpec(2)
     angles = np.array(settings.OPTIMAL_UNITARY_ANGLES)
     built = game.evaluate(spec, settings._bloch_strategy(angles)).per_input
@@ -342,8 +340,9 @@ def test_one_response_each_reaches_tsirelsons_sum():
         assert abs(reached - 2 * math.sqrt(2)) <= 1e-14
 
 
-def test_value_unitary_reports_non_convergence():
-    short = settings.value_unitary(settings.OptimizerConfig(max_iterations=1))
+def test_value_unitary_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
+    short = settings.value_unitary()
     assert short.converged is False
 
 
@@ -391,7 +390,7 @@ def test_seesaw_sum_is_the_objective_at_its_angles():
         budget = (1, 2, 3, 4000)[i % 4]
         point, total, responses, fixed = settings._seesaw(x0, budget)
         assert point.shape == (8,) and 1 <= responses <= budget
-        assert abs((0.5 + total / 8) + settings._objective(point)[0]) <= 1e-15
+        assert abs((0.5 + total / 8) + settings._objective(point)) <= 1e-15
         if budget == 4000:
             assert fixed and responses < budget
             assert abs((0.5 + total / 8) - TSIRELSON) <= 1e-15
@@ -431,7 +430,7 @@ def test_value_unitary_converges_from_degenerate_starts():
     antiparallel = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
     parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
     for x0 in (np.zeros(8), parallel, antiparallel):
-        res = settings.minimize(settings._objective, x0, 4000)
+        res = settings.minimize(settings._objective, x0)
         assert res.success is True
         value = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
         assert TSIRELSON - 1e-15 <= value <= math.cos(math.pi / 8) ** 2
@@ -442,9 +441,9 @@ def _recording_minimize(monkeypatch):
     calls = []
     minimize = settings.minimize
 
-    def recording(fun, x0, budget):
-        res = minimize(fun, x0, budget)
-        calls.append((fun, x0, budget, res))
+    def recording(fun, x0):
+        res = minimize(fun, x0)
+        calls.append((fun, x0, res))
         return res
 
     monkeypatch.setattr(settings, "minimize", recording)
@@ -454,11 +453,11 @@ def _recording_minimize(monkeypatch):
 def test_value_unitary_hands_each_start_to_minimize(monkeypatch):
     calls = _recording_minimize(monkeypatch)
     for seed, budget in ((3, 50), (3, 1), (12345, 4000)):
-        config = settings.OptimizerConfig(seed=seed, max_iterations=budget)
-        result = settings.value_unitary(config)
-        (fun, x0, passed_budget, res), = calls
+        monkeypatch.setattr(settings, "SEESAW_BUDGET", budget)
+        result = settings.value_unitary(settings.OptimizerConfig(seed=seed))
+        (fun, x0, res), = calls
         calls.clear()
-        assert fun is settings._objective and passed_budget == budget
+        assert fun is settings._objective
         start = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=8)
         assert np.array_equal(x0, start)
         point, _, responses, _ = settings._seesaw(start, budget)
@@ -469,22 +468,30 @@ def test_value_unitary_hands_each_start_to_minimize(monkeypatch):
         assert result.value == evaluated
 
 
+def _central_gradient(x, h=1e-6):
+    """Central differences of ``_objective`` at the 8 angles ``x``."""
+    return [(settings._objective(x + step) - settings._objective(x - step)) / (2 * h)
+            for step in np.eye(x.size) * h]
+
+
 def test_minimize_converges_from_degenerate_starts_on_its_own():
     antiparallel = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
     parallel = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
     for x0 in (np.zeros(8), parallel, antiparallel):
-        res = settings.minimize(settings._objective, x0, 4000)
-        assert res.success is True and res.nfev == 1
+        res = settings.minimize(settings._objective, x0)
+        assert res.success is True and res.nfev == 1 and res.responses <= 8
         assert TSIRELSON - 1e-15 <= -res.fun <= math.cos(math.pi / 8) ** 2
+        assert max(abs(g) for g in _central_gradient(res.x)) <= 1e-8
 
 
-def test_minimize_fails_at_the_budget_or_off_a_stationary_point():
+def test_minimize_fails_at_the_budget(monkeypatch):
     x0 = np.random.default_rng(79).uniform(0.0, 2 * np.pi, size=8)
-    assert settings.minimize(settings._objective, x0, 1).success is False
-    # A see-saw fixed point is judged on the objective's own gradient.
-    res = settings.minimize(lambda x: (0.0, [0.0] * 7 + [2e-8]), x0, 4000)
-    assert res.success is False and res.fun == 0.0
-    assert settings.minimize(lambda x: (0.0, [-1e-8] * 8), x0, 4000).success is True
+    # Success is the see-saw's fixed-point flag alone, whatever the objective reads.
+    res = settings.minimize(lambda x: 0.0, x0)
+    assert res.success is True and res.fun == 0.0 and res.nfev == 1
+    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
+    res = settings.minimize(settings._objective, x0)
+    assert res.success is False and res.responses == 1
 
 
 def test_every_restart_ends_at_a_stationary_fixed_point(monkeypatch):
@@ -493,9 +500,9 @@ def test_every_restart_ends_at_a_stationary_fixed_point(monkeypatch):
     for seed in seeds:
         assert settings.value_unitary(settings.OptimizerConfig(seed=seed)).converged is True
     assert len(calls) == len(seeds)
-    for *_, budget, res in calls:
-        assert res.success and res.responses < budget
-        assert max(abs(g) for g in settings._objective(res.x)[1]) <= 1e-8
+    for *_, res in calls:
+        assert res.success and res.responses <= 8
+        assert max(abs(g) for g in _central_gradient(res.x)) <= 1e-8
 
 
 def test_objective_is_minus_the_evaluated_average():
@@ -504,20 +511,7 @@ def test_objective_is_minus_the_evaluated_average():
     for _ in range(200):
         angles = rng.uniform(0.0, 2 * np.pi, size=8)
         expected = -game.evaluate(spec, settings._bloch_strategy(angles)).average
-        assert abs(settings._objective(angles)[0] - expected) <= 1e-12
-
-
-def test_objective_gradient_matches_central_differences():
-    rng = np.random.default_rng(41)
-    h = 1e-6
-    for _ in range(200):
-        angles = rng.uniform(0.0, 2 * np.pi, size=8)
-        _, grad = settings._objective(angles)
-        assert len(grad) == angles.size
-        for i, step in enumerate(np.eye(angles.size) * h):
-            central = (settings._objective(angles + step)[0]
-                       - settings._objective(angles - step)[0]) / (2 * h)
-            assert abs(grad[i] - central) <= 1e-6
+        assert abs(settings._objective(angles) - expected) <= 1e-12
 
 
 def _z_rotation_average(phi_a0, phi_a1, phi_b0, phi_b1):
@@ -603,6 +597,16 @@ def test_sweep_rejects_out_of_interval():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"epsilon {bad} outside"):
             settings.epsilon_sweep([0.3, bad, 0.5])
+
+
+def test_rz_pair_and_sweep_reject_an_epsilon_that_is_not_real():
+    for bad in ("0.3", 0.3 + 0j):
+        for check in (settings.rz_pair_strategy, lambda eps: settings.epsilon_sweep([0.2, eps])):
+            with pytest.raises(ValueError) as raised:
+                check(bad)
+            assert str(raised.value) == f"epsilon must be a real number, got {bad!r}"
+    with pytest.raises(ValueError, match=r"epsilon 2.0 outside the open interval \(0, pi/2\)"):
+        settings.rz_pair_strategy(2.0)
 
 
 def test_sweep_accepts_any_iterable_and_empty_grid():

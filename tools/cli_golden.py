@@ -43,12 +43,12 @@ _VALUE_SETTINGS = (
     ["qutrit-q3"],
     ["classical-q3"],
 )
-_LANDAUER = (["--p", "0.3"], ["--p", "0"], ["--p", "1"], ["--target", "tsirelson"], ["--target", "0.9"])
+_LANDAUER = (["--p", "0.3"], ["--p", "0"], ["--p", "-0"], ["--p", "1"], ["--target", "tsirelson"],
+             ["--target", "0.9"])
 
 # (environment overrides, argv) per command.
 COMMANDS = [
     *(({}, ["value", "--setting", *s, "--format", f]) for s in _VALUE_SETTINGS for f in ("json", "text")),
-    ({}, ["value", "--setting", "unitary", "--max-iterations", "1", "--format", "json"]),
     ({}, ["value", "--setting", "unitary", "--seed", "7", "--format", "json"]),
     ({}, ["value", "--setting", "irreversible", "--seed", "3", "--format", "json"]),
     ({}, ["value", "--setting", "irreversible", "--dimension", "2", "--format", "json"]),
@@ -88,6 +88,7 @@ COMMANDS = [
     ({}, ["value", "--setting", "telepathy"]),
     ({}, ["value", "--setting", "unitary", "--restarts", "64"]),
     ({}, ["value", "--setting", "unitary", "--tolerance", "1e-9"]),
+    ({}, ["value", "--setting", "unitary", "--max-iterations", "1", "--format", "json"]),
     ({}, ["sweep-epsilon", "--steps", "5", "--format", "csv", "--output", "/nonexistent-dir/sweep.csv"]),
     ({"CHSHSTAR_SEED": "abc"}, ["verify-lemma1", "--n-random", "3"]),
     ({}, ["verify-lemma1", "--n-random", "3", "--seed", "-1"]),
