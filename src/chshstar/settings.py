@@ -1,13 +1,13 @@
-"""Game values per physical setting: exhaustive enumeration or optimization.
+"""Game values per physical setting: exhaustive enumeration or construction.
 
 Finite settings (Clifford, classical reversible/irreversible, classical
-mod-3) are searched exhaustively; the unitary setting is optimized over the
-Bloch angles of the normal form's four Bloch vectors by one ``minimize``
-from one seeded start: a closed-form see-saw of best responses, which stops
-at its own fixed point, so no outside optimizer is needed.  Its budget of
-responses is the constant ``SEESAW_BUDGET``; ``OptimizerConfig`` sets only
-the seed of the start.  Every returned witness is re-evaluated through the
-generic evaluators as a consistency check before the result is handed back.
+mod-3) are searched exhaustively; the unitary setting's optimum is
+constructed over the normal form's four Bloch vectors by one ``minimize``
+from one seeded start: a closed-form B response, made orthonormal, then an
+A response, which reach Tsirelson's sum, so no outside optimizer and no
+loop is needed.  ``OptimizerConfig`` sets only the seed of the start.
+Every returned witness is re-evaluated through the generic evaluators as a
+consistency check before the result is handed back.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ from .quantum import (
 
 DEFAULT_SEED = 12345
 
-# The most see-saw responses ``minimize`` computes.  Every seeded run ends at a
-# fixed point within 8 responses, so the budget only bounds a run that stalls.
-SEESAW_BUDGET = 4000
-
 # Bloch angles (theta, phi) of n_0, n_1, m_0, m_1 for the S / T-dagger / T
 # strategy: n_a is the Bloch vector of A_a|+>, m_b that of B_b^+|+>.
 OPTIMAL_UNITARY_ANGLES = (
@@ -66,7 +62,7 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The seed of the unitary optimizer's start: an integer (numpy's too) >= 0, kept as an int."""
+    """The seed of the unitary construction's start: an integer (numpy's too) >= 0, kept as an int."""
 
     seed: int = DEFAULT_SEED
 
@@ -105,8 +101,8 @@ class SettingSpec:
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"
             )
         if self.kind == "clifford_plus_rz":
-            if self.epsilon is not None and not isinstance(self.epsilon, numbers.Real):
-                raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+            if self.epsilon is not None:
+                _check_epsilon_is_real(self.epsilon)
             if self.epsilon is None or not 0 < self.epsilon < np.pi / 2:
                 raise ValueError("clifford_plus_rz requires epsilon in (0, pi/2)")
         elif self.epsilon is not None:
@@ -123,8 +119,6 @@ class ValueResult:
     strategies_examined: int
     # Clifford setting: the stabilizer overlaps' largest deviation from {0, 1/2, 1}.
     quantization_error: float | None = None
-    # Optimized settings: whether the optimizer run converged.
-    converged: bool | None = None
 
 
 def _check_witness(value: float, reevaluated: float) -> None:
@@ -164,9 +158,14 @@ def irreversible_strategy() -> game.Strategy:
     )
 
 
-def _check_epsilon(epsilon) -> None:
-    if not isinstance(epsilon, numbers.Real):
+def _check_epsilon_is_real(epsilon) -> None:
+    # bool is a numbers.Real, but True is no angle.
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+
+
+def _check_epsilon(epsilon) -> None:
+    _check_epsilon_is_real(epsilon)
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"epsilon {epsilon} outside the open interval (0, pi/2)")
 
@@ -420,7 +419,7 @@ def value_classical_q3(gate_family: str = "all") -> ValueResult:
 
 
 # ---------------------------------------------------------------------------
-# Unitary setting (numerical optimization)
+# Unitary setting (construction by best responses)
 # ---------------------------------------------------------------------------
 
 def _dot(u: tuple, w: tuple) -> float:
@@ -442,61 +441,38 @@ def _bloch_angles(v: tuple) -> tuple[float, float]:
     return math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0])
 
 
-def _best_response(u: tuple, w: tuple) -> tuple[tuple, float]:
-    """The pair (unit(u + w), unit(u - w)) and the sum it reaches, |u + w| + |u - w|.
+def _best_response(u: tuple, w: tuple) -> tuple[tuple, tuple]:
+    """The orthonormal pair (r_0, r_1) that maximizes (u + w) . r_0 + (u - w) . r_1.
 
-    Over unit vectors r_0, r_1 it maximizes (u + w) . r_0 + (u - w) . r_1,
-    each term by its own r.  A sum or difference that is the zero vector
+    Each term is maximized by its own unit vector, r_0 = unit(u + w) and
+    r_1 = unit(u - w), to |u + w| + |u - w|.  For unit u and w these are
+    orthogonal, since (u + w) . (u - w) = 0, and the longer of u +- w has
+    norm at least sqrt(2).  In floats a near-antipodal or near-parallel pair
+    leaves the shorter a rounding residue whose unit is not orthogonal to
+    the longer's, so the longer's unit is kept and the shorter is replaced
+    by the unit of its component orthogonal to that unit, projected out
+    twice: one pass can leave an overlap well above rounding when the
+    residue lies nearly along the longer.  A component that is exactly zero
     (u = -w or u = w) is met equally by every unit vector; it gets the fixed
     one orthogonal to u, unit(u x e_k) for the axis k of u's smallest
-    component, so that the pair is orthogonal as any other response's is.
+    component.
     """
-    pair, reached = [], 0.0
-    for v in _sum_and_difference(u, w):
-        norm = math.hypot(*v)
-        reached += norm
-        if not norm:
-            k = min(range(3), key=lambda i: abs(u[i]))
-            i, j = (k + 1) % 3, (k + 2) % 3
-            v = [0.0, 0.0, 0.0]
-            v[i], v[j] = u[j], -u[i]  # u x e_k
-            norm = math.hypot(*v)
-        pair.append((v[0] / norm, v[1] / norm, v[2] / norm))
-    return tuple(pair), reached
-
-
-def _seesaw(x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int, bool]:
-    """The see-saw of best responses from the 8 Bloch angles ``x0``.
-
-    With (n_0, n_1, m_0, m_1) as in ``_objective``, the sum
-    sum_ab (-1)^{ab} n_a . m_b is raised by the B response
-    m_b = unit(n_0 + (-1)^b n_1), then the A response
-    n_a = unit(m_0 + (-1)^a m_1), alternately (Werner & Wolf, Quantum Inf.
-    Comput. 1, 1 (2001)).  A response that does not lower the sum is taken,
-    so a flat one can move a start off a zero sum or difference.  It stops
-    after two consecutive responses that do not raise the sum, when each
-    side is a best response to the other: a fixed point, where the sum is
-    2 sqrt(2).  Otherwise it stops after ``budget`` responses.  Returns the
-    angles (``_bloch_angles`` of each moved vector, ``x0``'s own for the
-    rest), the sum there, the number of responses computed and whether it
-    stopped at a fixed point.
-    """
-    x = x0.tolist()
-    vectors = [_bloch(x[k], x[k + 1]) for k in (0, 2, 4, 6)]
-    m_pm = _sum_and_difference(vectors[2], vectors[3])
-    total = _dot(vectors[0], m_pm[0]) + _dot(vectors[1], m_pm[1])
-    responses = flat = 0
-    while flat < 2 and responses < budget:
-        # Even responses move (m_0, m_1) against (n_0, n_1), odd ones the reverse.
-        given, moved = (0, 2) if responses % 2 == 0 else (2, 0)
-        pair, reached = _best_response(vectors[given], vectors[given + 1])
-        responses += 1
-        flat = 0 if reached > total else flat + 1
-        if reached >= total:
-            vectors[moved:moved + 2] = pair
-            x[2 * moved:2 * moved + 4] = [angle for v in pair for angle in _bloch_angles(v)]
-            total = reached
-    return np.array(x), total, responses, flat == 2
+    plus, minus = _sum_and_difference(u, w)
+    norms = math.hypot(*plus), math.hypot(*minus)
+    longer = 0 if norms[0] >= norms[1] else 1
+    kept = tuple(c / norms[longer] for c in (plus, minus)[longer])
+    v = (minus, plus)[longer]
+    for _ in range(2):
+        along = _dot(v, kept)
+        v = [v[i] - along * kept[i] for i in range(3)]
+    if not any(v):
+        k = min(range(3), key=lambda i: abs(u[i]))
+        i, j = (k + 1) % 3, (k + 2) % 3
+        v = [0.0, 0.0, 0.0]
+        v[i], v[j] = u[j], -u[i]  # u x e_k
+    norm = math.hypot(*v)
+    made = (v[0] / norm, v[1] / norm, v[2] / norm)
+    return (kept, made) if longer == 0 else (made, kept)
 
 
 def _objective(angles: np.ndarray) -> float:
@@ -508,7 +484,7 @@ def _objective(angles: np.ndarray) -> float:
     probability (1 + (-1)^{ab} n_a . m_b) / 2, so the average is
     1/2 + (1/8) sum_ab (-1)^{ab} n_a . m_b: 1/2 plus a small sum whose
     rounding stays below the ulp of 1/2.  ``minimize`` calls it once, at
-    the see-saw's end point, to value that point; on 8 angles numpy's
+    the constructed point, to value that point; on 8 angles numpy's
     per-call overhead would dominate, so it runs on Python floats.
     """
     x = angles.tolist()
@@ -535,49 +511,53 @@ def _bloch_strategy(angles: np.ndarray) -> game.Strategy:
 
 
 class SeesawResult(NamedTuple):
-    """Where ``minimize`` ended: the angles, the objective there and how it got there."""
+    """Where ``minimize`` ended: the angles, the objective there and its number of calls."""
 
     x: np.ndarray
     fun: float
     nfev: int
-    success: bool
-    responses: int
 
 
 def minimize(objective, x0: np.ndarray) -> SeesawResult:
-    """The unitary optimizer's local search: ``_seesaw`` from ``x0``, then one ``objective`` call.
+    """Two best responses from the 8 Bloch angles ``x0``, then one ``objective`` call.
 
-    ``objective`` (``_objective``) is called once, at the see-saw's end
-    point, so ``nfev`` is 1.  ``success`` means that the see-saw stopped at
-    a fixed point, not at ``SEESAW_BUDGET`` responses; there each Bloch
-    vector is the unit vector of the sum it is paired with, a zero gradient.
+    With (n_0, n_1, m_0, m_1) as in ``_objective``, the sum
+    sum_ab (-1)^{ab} n_a . m_b = n_0 . (m_0 + m_1) + n_1 . (m_0 - m_1) is
+    raised by the B response m_b = unit(n_0 + (-1)^b n_1) to x0's n_0, n_1,
+    then by the A response n_a = unit(m_0 + (-1)^a m_1) (Werner & Wolf,
+    Quantum Inf. Comput. 1, 1 (2001)); x0's m_0, m_1 are not read.  Both
+    are ``_best_response`` pairs.  The B response is an orthonormal pair,
+    and against it the A response reaches |m_0 + m_1| + |m_0 - m_1| =
+    2 sqrt(2), Tsirelson's sum, so no further response can raise it.  The
+    B response is made orthonormal because near-antipodal starts leave
+    n_0 + n_1 as a rounding residue.  Returns the Bloch angles of the four
+    vectors, ``objective`` (``_objective``) there and ``nfev`` 1.
     """
-    x, _, responses, fixed = _seesaw(x0, SEESAW_BUDGET)
-    return SeesawResult(x, objective(x), 1, fixed, responses)
+    x = x0.tolist()
+    m_pair = _best_response(_bloch(x[0], x[1]), _bloch(x[2], x[3]))
+    n_pair = _best_response(*m_pair)
+    end = np.array([angle for v in (*n_pair, *m_pair) for angle in _bloch_angles(v)])
+    return SeesawResult(end, objective(end), 1)
 
 
 def value_unitary(config: OptimizerConfig | None = None) -> ValueResult:
-    """Maximize the average win over the normal form's four Bloch vectors.
+    """Construct a play of the normal form that reaches Tsirelson's sum.
 
     The normal form (|+>, four unitaries, X measurement) loses nothing for a
     qubit, since the initial state and the measurement basis can be absorbed
     into the gates.  Its average win depends on the gates only through the
-    Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, so the search runs over
-    their 8 Bloch angles: one ``minimize`` call on ``_objective`` from a
-    uniform start drawn with ``config.seed``.  One start suffices: the B
-    response m_b = unit(n_0 + (-1)^b n_1) is an orthogonal pair, since
-    (n_0 + n_1) . (n_0 - n_1) = 0 (a zero sum or difference gets a unit
-    orthogonal to n_0), and against any orthogonal pair the A response
-    reaches |m_0 + m_1| + |m_0 - m_1| = 2 sqrt(2), Tsirelson's sum.  The
-    witness is ``_bloch_strategy`` of the end point.  ``converged`` is True
-    when the see-saw stopped at a fixed point, and ``strategies_examined``
-    counts its see-saw responses and its objective evaluation.
+    Bloch vectors n_a of A_a|+> and m_b of B_b^+|+>, and at most reaches
+    cos^2(pi/8), where their sum is 2 sqrt(2).  One ``minimize`` call on
+    ``_objective`` constructs such vectors by two best responses from a
+    uniform start drawn with ``config.seed``, so the seed picks the witness.
+    The witness is ``_bloch_strategy`` of the constructed point, and
+    ``strategies_examined`` is 2, the two responses computed.
     """
     config = config or OptimizerConfig()
     x0 = np.random.default_rng(config.seed).uniform(0.0, 2 * np.pi, size=8)
     res = minimize(_objective, x0)
 
-    # The value is the witness's exact evaluation, not the optimizer's own
+    # The value is the witness's exact evaluation, not the objective's own
     # number, which can lie an ulp or two above it (and above cos^2(pi/8)).
     witness = _bloch_strategy(res.x)
     report = game.evaluate(game.GameSpec(2), witness)
@@ -585,9 +565,8 @@ def value_unitary(config: OptimizerConfig | None = None) -> ValueResult:
     return ValueResult(
         value=report.average,
         witness=witness,
-        method="optimized",
-        strategies_examined=res.responses + res.nfev,
-        converged=res.success,
+        method="constructed",
+        strategies_examined=2,
     )
 
 

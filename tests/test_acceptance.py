@@ -48,7 +48,7 @@ def test_criterion_1_unitary_value(capsys):
         assert rc == 0
         payload = json.loads(out)
         assert abs(payload["value"] - 0.853553) <= 1e-4
-        assert payload["method"] == "optimized"
+        assert payload["method"] == "constructed"
         assert elapsed <= 60.0
 
         spec = game.GameSpec(2)

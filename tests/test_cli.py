@@ -64,21 +64,13 @@ def test_value_irreversible_json(capsys, schema):
 def test_value_unitary_json(capsys, schema):
     rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
     assert rc == 0
-    assert "warning" not in err
+    assert err == ""
     payload = json.loads(out)
     validate(payload, schema)
     assert abs(payload["value"] - TSIRELSON) < 1e-4
-    assert payload["method"] == "optimized"
+    assert payload["method"] == "constructed"
+    assert payload["strategies_examined"] == 2
     assert payload["seed"] == 12345
-
-
-def test_value_unitary_warns_when_not_converged(capsys, schema, monkeypatch):
-    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
-    rc, out, err = run_cli(capsys, "value", "--setting", "unitary", "--format", "json")
-    assert rc == 0
-    validate(json.loads(out), schema)
-    assert err.count("\n") == 1 and err.startswith("warning: ")
-    assert "converge" in err
 
 
 def _fresh_python(code):
@@ -97,8 +89,8 @@ def test_import_does_not_load_the_optimizer():
 
 def test_value_unitary_does_not_load_scipy():
     code = ("import sys; from chshstar import settings; "
-            "print(settings.value_unitary().converged, 'scipy' in sys.modules)")
-    assert _fresh_python(code) == "True False"
+            "settings.value_unitary(); print('scipy' in sys.modules)")
+    assert _fresh_python(code) == "False"
 
 
 def test_value_reversible_d3(capsys, schema):
@@ -478,24 +470,19 @@ def test_reproduce_all_rejects_n_random_below_one(capsys, monkeypatch):
         assert err == "error: --n-random must be >= 1\n"
 
 
-def test_reproduce_all_warns_when_not_converged(capsys, monkeypatch):
-    monkeypatch.setattr(settings, "SEESAW_BUDGET", 1)
-    rc, out, err = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
-    assert rc == 1  # the unitary row misses cos^2(pi/8)
-    assert json.loads(out)["all_ok"] is False
-    assert err.count("\n") == 1 and err.startswith("warning: ")
-
-
 def test_reproduce_all_rejects_a_unitary_value_short_of_the_bound(capsys, monkeypatch):
-    # A stalled optimum 5e-5 below cos^2(pi/8) must not pass as ok.
+    # A value 5e-5 below cos^2(pi/8), or 1e-11 below (the row is checked to
+    # 1e-12, since the construction lands within 1.1e-15), must not pass as ok.
     value_unitary = settings.value_unitary
-    monkeypatch.setattr(settings, "value_unitary",
-                        lambda config: replace(value_unitary(config), value=TSIRELSON - 5e-5))
-    rc, out, _ = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
-    assert rc == 1
-    payload = json.loads(out)
-    assert payload["all_ok"] is False
-    assert [c["ok"] for c in payload["checks"] if c["name"] == "unitary"] == [False]
+    for short in (5e-5, 1e-11):
+        monkeypatch.setattr(settings, "value_unitary",
+                            lambda config, short=short: replace(value_unitary(config),
+                                                                value=TSIRELSON - short))
+        rc, out, _ = run_cli(capsys, "reproduce-all", "--n-random", "1", "--format", "json")
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["all_ok"] is False
+        assert [c["ok"] for c in payload["checks"] if c["name"] == "unitary"] == [False]
 
 
 def test_csv_not_available_outside_sweep():
