@@ -385,6 +385,50 @@ def test_best_response_to_a_parallel_pair_takes_a_fixed_orthogonal_unit():
             assert abs(settings._dot(pair[0], pair[1])) <= 1e-15
 
 
+# The antipode of a Bloch vector has the angles (pi - theta, phi + pi), so in
+# floats n_1 = -n_0 only up to rounding.
+ANTIPARALLEL_START = np.array([1.0, 0.3, np.pi - 1.0, 0.3 + np.pi, 0.2, 0.4, 1.1, 2.0])
+PARALLEL_START = np.array([1.0, 0.3, 1.0, 0.3, 0.2, 0.4, 1.1, 2.0])
+
+
+def test_seesaw_moves_a_start_with_a_zero_sum_or_difference_off_it():
+    # n_0 = n_1 exactly (all along z, or equal angles): the B response keeps
+    # unit(n_0 + n_1) = n_0 and moves m_1 off the zero difference to the
+    # fixed orthogonal unit, and the A response raises the sum to the bound.
+    for x0 in (np.zeros(8), PARALLEL_START):
+        x = x0.tolist()
+        n0, n1 = settings._bloch(x[0], x[1]), settings._bloch(x[2], x[3])
+        assert not any(settings._sum_and_difference(n0, n1)[1])
+        m0, m1 = settings._best_response(n0, n1)
+        assert np.allclose(m0, n0, rtol=0.0, atol=1e-15)
+        assert abs(settings._dot(m0, m1)) <= 1e-15
+        res = settings.minimize(settings._objective, x0)
+        assert not np.array_equal(res.x, x0)
+        assert abs(-res.fun - TSIRELSON) <= 1e-15
+
+
+def test_value_unitary_converges_from_degenerate_starts():
+    for x0 in (np.zeros(8), PARALLEL_START, ANTIPARALLEL_START):
+        res = settings.minimize(settings._objective, x0)
+        value = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
+        assert TSIRELSON - 1e-15 <= value <= math.cos(math.pi / 8) ** 2
+
+
+def _central_gradient(x, h=1e-6):
+    """Central differences of ``_objective`` at the 8 angles ``x``."""
+    return [(settings._objective(x + step) - settings._objective(x - step)) / (2 * h)
+            for step in np.eye(x.size) * h]
+
+
+def test_minimize_converges_from_degenerate_starts_on_its_own():
+    # The end point is Tsirelson's maximum, so the angle gradient vanishes there.
+    for x0 in (np.zeros(8), PARALLEL_START, ANTIPARALLEL_START):
+        res = settings.minimize(settings._objective, x0)
+        assert res.nfev == 1
+        assert TSIRELSON - 1e-15 <= -res.fun <= math.cos(math.pi / 8) ** 2
+        assert max(abs(g) for g in _central_gradient(res.x)) <= 1e-8
+
+
 def _recording_minimize(monkeypatch):
     """Patch ``settings.minimize`` to record each call's arguments and result."""
     calls = []
@@ -416,6 +460,18 @@ def test_value_unitary_hands_each_start_to_minimize(monkeypatch):
         assert res.nfev == 1 and result.strategies_examined == 2
         evaluated = game.evaluate(game.GameSpec(2), settings._bloch_strategy(res.x)).average
         assert result.value == evaluated
+
+
+def test_every_restart_ends_at_a_stationary_fixed_point(monkeypatch):
+    # Each seeded start ends at Tsirelson's maximum, where the angle gradient vanishes.
+    calls = _recording_minimize(monkeypatch)
+    seeds = [*range(1000), 12345, 2 ** 31 - 1]
+    for seed in seeds:
+        assert settings.value_unitary(settings.OptimizerConfig(seed=seed)).strategies_examined == 2
+    assert len(calls) == len(seeds)
+    for *_, res in calls:
+        assert abs(-res.fun - TSIRELSON) <= 1e-15
+        assert max(abs(g) for g in _central_gradient(res.x)) <= 1e-8
 
 
 def test_objective_is_minus_the_evaluated_average():
