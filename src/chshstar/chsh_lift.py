@@ -29,8 +29,8 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _PAULI_KETS,
     _close,
-    minus_ket,
     plus_ket,
     projector,
     random_unitary,
@@ -92,7 +92,7 @@ def random_normal_form(rng: np.random.Generator) -> game.Strategy:
 
 _QUBIT_GAME = game.GameSpec(2)
 _BELL_PAIR = bell_pair_ket()
-_X_KETS = np.stack([plus_ket(), minus_ket()])
+_X_KETS = np.stack([_PAULI_KETS["x+"], _PAULI_KETS["x-"]])
 _X_PROJECTORS = np.stack([projector(k) for k in _X_KETS])
 # Column 2x + y is the bra <x|<y| of both players' X outcomes, x, y = 0 for
 # |+> and 1 for |->.

@@ -50,6 +50,7 @@ from .quantum import (
     ATOL_NAME,
     Channel,
     Measurement,
+    check_erase_probability,
     matrices_equal_up_to_phase,
     pauli_eigenstates,
     phase_canonical,
@@ -102,14 +103,9 @@ def value_symbol(v: float) -> str | None:
     return None
 
 
-def _gate_names_3() -> tuple:
-    g = qudit_gates(3)
-    return (("I", g["I"]), ("X", g["X"]), ("T3", g["T3"]), ("V", g["V"]), ("W", g["W"]), ("F", g["F"]))
-
-
 def gate_name(u: np.ndarray) -> str | None:
     """Recognized name of a unitary (up to global phase, to ``ATOL_NAME``), or None."""
-    table = _GATE_NAMES_2 if u.shape == (2, 2) else _gate_names_3() if u.shape == (3, 3) else ()
+    table = _GATE_NAMES_2 if u.shape == (2, 2) else qudit_gates(3).items() if u.shape == (3, 3) else ()
     for name, ref in table:
         if matrices_equal_up_to_phase(u, ref):
             return name
@@ -339,7 +335,7 @@ def cmd_landauer(args) -> tuple[dict, list[str], bool]:
     if (args.p is None) == (args.target is None):
         raise ValueError("give exactly one of --p or --target")
     if args.p is not None:
-        p = landauer._check_probability(args.p)  # also reports --p -0 as 0.0
+        p = check_erase_probability(args.p)  # also reports --p -0 as 0.0
     else:
         target = TSIRELSON if args.target == "tsirelson" else float(args.target)
         p = landauer.solve_erasure_probability(target)

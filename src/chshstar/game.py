@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .quantum import (
     Measurement,
     State,
     _dagger_stack,
+    _integer,
     _integers,
     apply_channel,
     basis_ket,
@@ -52,10 +52,7 @@ class GameSpec:
     _answers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            q = operator.index(self.q)
-        except TypeError:
-            raise ValueError(f"modulus q must be an integer, got {self.q!r}") from None
+        q = _integer(self.q, "modulus q must be an integer, got {!r}")
         if q not in (2, 3):
             raise ValueError(f"unsupported modulus q={self.q}; only 2 and 3 are implemented")
         alphabet, pairs, answers = _input_tables(q)
@@ -222,14 +219,8 @@ class ClassicalStrategy:
     readout: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            d = operator.index(self.num_symbols)
-        except TypeError:
-            raise ValueError(f"number of symbols {self.num_symbols!r} is not an integer") from None
-        try:
-            initial = operator.index(self.initial)
-        except TypeError:
-            raise ValueError(f"initial symbol {self.initial!r} is not an integer") from None
+        d = _integer(self.num_symbols, "number of symbols {!r} is not an integer")
+        initial = _integer(self.initial, "initial symbol {!r} is not an integer")
         if not 0 <= initial < d:
             raise ValueError(f"initial symbol {self.initial} outside range({d})")
         if len(self.readout) != d:

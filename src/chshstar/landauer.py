@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
+from .quantum import check_erase_probability
 
 ENTROPY_UNIT = "kT*log2(2)"
 
@@ -30,16 +31,9 @@ class EntropyReport:
     unit: str = ENTROPY_UNIT
 
 
-def _check_probability(p: float) -> float:
-    p = float(p) + 0.0  # -0.0 + 0.0 is 0.0
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erase probability {p} outside [0, 1]")
-    return p
-
-
 def erasure_strategy(p: float) -> game.ClassicalStrategy:
     """Build the strategy that erases with probability p on input (1, 0)."""
-    p = _check_probability(p)
+    p = check_erase_probability(p)
     erase_gate = np.array([[1.0, p], [0.0, 1.0 - p]])
     return game.ClassicalStrategy(
         num_symbols=2,
@@ -74,7 +68,7 @@ def solve_erasure_probability(target: float) -> float:
 
 def entropy_ledger(p: float) -> EntropyReport:
     """Expected erasure entropy: p bits on input (1, 0), zero elsewhere."""
-    p = _check_probability(p)
+    p = check_erase_probability(p)
     per_input = {
         (a, b): (p if (a, b) == _ERASE_INPUT else 0.0)
         for a in (0, 1)

@@ -12,14 +12,12 @@ Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
 Every complex modulus in a check is libm's ``hypot`` of its parts.
-A ``State``'s density, of any dimension, and a ``Channel`` of one 2x2 or
-3x3 Kraus operator are checked on the Python scalars of one ``tolist()``
-call (a density of dimension 3 and up still takes ``eigvalsh`` for its
-smallest eigenvalue); stacks and every other channel are checked
-vectorized, by the stack checks below.  ``apply_channel`` applies one
-Kraus operator without stacking it.  ``outcome_distribution`` reads one
-state's outcomes from one product and sums them on Python floats, the
-traces too below dimension 4.
+One rule picks the path: one object of dimension 2 or 3 (a ``State``'s
+density, a ``Channel`` of one Kraus operator, one state's outcomes) is
+checked and summed on the Python scalars of one ``tolist()`` call, a qutrit
+density's smallest eigenvalue aside (``eigvalsh``); above 3, and for stacks
+and channels of several Kraus operators, the stack checks below decide.
+``apply_channel`` applies one Kraus operator without stacking it.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -77,8 +75,19 @@ def ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _integer(value, message: str) -> int:
+    """The value as a Python int (numpy's integers too); else ValueError, ``message.format(value)``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message.format(value)) from None
+
+
 def basis_ket(d: int, i: int) -> np.ndarray:
-    """Computational basis ket |i> in dimension d."""
+    """Computational basis ket |i> in dimension d; the index is an integer (numpy's too), not a bool."""
+    if isinstance(i, bool):  # an int to the reader, a mask to numpy
+        raise ValueError(f"basis index {i!r} is not an integer")
+    i = _integer(i, "basis index {!r} is not an integer")
     if not 0 <= i < d:
         raise ValueError(f"basis index {i} out of range for dimension {d}")
     v = np.zeros(d, dtype=complex)
@@ -165,8 +174,8 @@ def projector(ket: np.ndarray) -> np.ndarray:
 
 
 # Structural checks.  Each works on a stack of shape (n, d, d) and holds only
-# if it holds for every matrix of the stack; one density and one 2x2 or 3x3
-# Kraus operator are checked on scalars instead (below).  Closeness is
+# if it holds for every matrix of the stack; one 2x2 or 3x3 density or
+# Kraus operator is checked on scalars instead (below).  Closeness is
 # ``|a - b| <= atol`` entrywise, which, unlike ``np.allclose``, never counts
 # inf or NaN as close; a complex modulus is ``np.hypot`` of its parts, libm's
 # hypot, as Python's abs() takes it.  The stacks are small, so the checks keep
@@ -242,44 +251,39 @@ def check_density_stack(rhos: np.ndarray) -> None:
 # abs() raises OverflowError; both fail the check that takes it.
 
 def _check_density(rho: np.ndarray) -> None:
-    """``check_density_stack(rho[None])`` for one d x d density, on scalars.
+    """``check_density_stack(rho[None])`` for one d x d density, on scalars for d = 2 and 3.
 
-    The same checks in the same order, with the same messages: Hermitian to
-    ``ATOL_PROB`` (each pair of entries once: rho_ij against conj(rho_ji)
-    and rho_ji against conj(rho_ij) have one modulus), the trace's real part
-    within ``ATOL_PROB`` of 1, and a smallest eigenvalue of at least
-    ``-ATOL_STRUCT``.  The trace is numpy's bit for bit: numpy adds up to
-    three complex entries in order, from 0.0, and a longer diagonal goes
-    through ``_traces``.  A qubit's eigenvalue is tr/2 - hypot((a - b)/2,
-    |rho_10|); a larger density's is ``eigvalsh`` of the stack of one, the
-    call the stack check makes.  So it decides every density as the stack
-    check does.
+    Any other d goes to ``check_density_stack`` itself.  The scalar path
+    runs the same checks in the same order, with the same messages:
+    Hermitian to ``ATOL_PROB`` (each pair of entries once: rho_ij against
+    conj(rho_ji) and rho_ji against conj(rho_ij) have one modulus), the
+    trace's real part within ``ATOL_PROB`` of 1 (numpy's bit for bit: numpy
+    adds three complex entries or fewer in order, from 0.0), and a smallest
+    eigenvalue of at least ``-ATOL_STRUCT``: tr/2 - hypot((a - b)/2,
+    |rho_10|) for a qubit, ``eigvalsh`` of the stack of one for a qutrit,
+    the call the stack check makes.
     """
     rows = rho.tolist()
     d = len(rows)
+    if d not in (2, 3):
+        return check_density_stack(rho[None])
     try:
         if d == 2:  # unrolled: every qubit evaluation builds eight of these
             (a, c), (r, b) = rows
             hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
                          and abs(b - b.conjugate()) <= ATOL_PROB)
-        elif d == 3:  # unrolled: every qutrit evaluation builds eighteen
+        else:  # unrolled: every qutrit evaluation builds eighteen
             (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
             hermitian = (abs(r00 - r00.conjugate()) <= ATOL_PROB and abs(r01 - r10.conjugate()) <= ATOL_PROB
                          and abs(r02 - r20.conjugate()) <= ATOL_PROB and abs(r11 - r11.conjugate()) <= ATOL_PROB
                          and abs(r12 - r21.conjugate()) <= ATOL_PROB and abs(r22 - r22.conjugate()) <= ATOL_PROB)
-        else:
-            hermitian = all(abs(row[j] - rows[j][i].conjugate()) <= ATOL_PROB
-                            for i, row in enumerate(rows) for j in range(i, d))
     except OverflowError:
         hermitian = False
     if not hermitian:
         raise ValueError("density matrix is not Hermitian")
-    if d < 4:
-        tr = 0.0
-        for i, row in enumerate(rows):
-            tr += row[i].real
-    else:
-        tr = float(_traces(rho))
+    tr = 0.0
+    for i, row in enumerate(rows):
+        tr += row[i].real
     if not abs(tr - 1.0) <= ATOL_PROB:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     if d == 2:
@@ -387,6 +391,16 @@ class State:
         return self.density.shape[0]
 
 
+def check_erase_probability(p) -> float:
+    """p as a float in [0, 1], -0 read as 0.0; ValueError, naming p, for a str, a bool or a value outside."""
+    if isinstance(p, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"erase probability must be a real number, got {p!r}")
+    p = float(p) + 0.0  # -0.0 + 0.0 is 0.0
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erase probability {p} outside [0, 1]")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Trace-preserving map given by Kraus operators {K_i}, sum K_i^+ K_i = I.
@@ -445,9 +459,8 @@ class Channel:
 
     @classmethod
     def partial_erase(cls, p: float) -> "Channel":
-        """Erase to |0> with probability p, identity otherwise."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"erase probability {p} outside [0, 1]")
+        """Erase to |0> with probability p (``check_erase_probability``), identity otherwise."""
+        p = check_erase_probability(p)
         zero, one = basis_ket(2, 0), basis_ket(2, 1)
         return cls((
             np.sqrt(p) * np.outer(zero, zero.conj()),
@@ -624,23 +637,23 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
 def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
     """Sorted (label, probability) pairs, outcomes sharing a label summed.
 
-    ``outcome_probabilities`` for one state, bit for bit, without its stack
-    of one: the traces come from one product of the projector stack with
-    the density and are summed per label on Python floats.  The same check
+    ``outcome_probabilities`` for one state, bit for bit; any d but 2 and 3
+    goes to it.  For d = 2 and 3 the traces come from one product of the
+    projector stack with the density, summed as numpy sums (see
+    ``_check_density``) and per label on Python floats; the same check
     runs, with the same message: the probabilities sum to 1.
     """
     if m.dim != s.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
-    products = m._stack @ s.density
-    if s.dim < 4:  # numpy sums up to three entries in order, from 0.0 (see _check_density)
-        traces = []
-        for diagonal in products.diagonal(0, -2, -1).tolist():
-            tr = 0.0
-            for z in diagonal:
-                tr += z.real
-            traces.append(tr)
-    else:
-        traces = _traces(products).tolist()
+    if s.dim not in (2, 3):
+        probs = outcome_probabilities(m, s.density[None])
+        return sorted((label, float(p[0])) for label, p in probs.items())
+    traces = []
+    for diagonal in (m._stack @ s.density).diagonal(0, -2, -1).tolist():
+        tr = 0.0
+        for z in diagonal:
+            tr += z.real
+        traces.append(tr)
     agg = _sum_by_label(m.outcome_labels, traces)
     total = functools.reduce(operator.add, agg.values())
     if not abs(total - 1.0) <= ATOL_STRUCT:

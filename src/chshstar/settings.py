@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _integer,
     _read_only,
     basis_ket,
     check_unitary_stack,
@@ -67,10 +67,7 @@ class OptimizerConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        object.__setattr__(self, "seed", _integer(self.seed, "seed must be an integer, got {!r}"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -90,12 +87,8 @@ class SettingSpec:
         if self.kind not in SETTINGS:
             raise ValueError(f"unknown setting kind {self.kind!r}")
         allowed, _ = SETTINGS[self.kind]
-        if self.dimension is None:
-            object.__setattr__(self, "dimension", allowed[0])
-        try:
-            object.__setattr__(self, "dimension", operator.index(self.dimension))
-        except TypeError:
-            raise ValueError(f"dimension must be an integer, got {self.dimension!r}") from None
+        dimension = allowed[0] if self.dimension is None else self.dimension
+        object.__setattr__(self, "dimension", _integer(dimension, "dimension must be an integer, got {!r}"))
         if self.dimension not in allowed:
             raise ValueError(
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"
@@ -378,6 +371,7 @@ def _classical_result(d, q, wins, witness_tuple, examined) -> ValueResult:
 
 def value_classical_reversible(d: int) -> ValueResult:
     """Exhaustive search over permutation gates and all symbol-to-bit readouts."""
+    d = _integer(d, "dimension must be an integer, got {!r}")
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
     perms = list(itertools.permutations(range(d)))
@@ -591,6 +585,7 @@ def success_probability_formula(epsilon):
 
 def uniform_open_grid(steps: int) -> list[float]:
     """steps points evenly spaced in the open interval (0, pi/2)."""
+    steps = _integer(steps, "number of grid points must be an integer, got {!r}")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
     return [(k * np.pi / 2) / (steps + 1) for k in range(1, steps + 1)]

@@ -28,6 +28,14 @@ def test_erasure_value_rejects_bad_probability():
         landauer.erasure_value(-0.1)
     with pytest.raises(ValueError):
         landauer.erasure_value(1.1)
+    # A str or a bool is no probability on any path; erasure_report("0.5")
+    # once returned 0.875 and erasure_report(True) 1.0.
+    for check in (landauer.erasure_report, landauer.erasure_value, landauer.erasure_strategy,
+                  landauer.entropy_ledger):
+        for bad in ("0.5", True, False, np.True_):
+            with pytest.raises(ValueError) as raised:
+                check(bad)
+            assert str(raised.value) == f"erase probability must be a real number, got {bad!r}"
 
 
 def test_erasure_report_ledger_localized_to_one_input():

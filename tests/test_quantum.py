@@ -37,6 +37,31 @@ def test_partial_erase_half():
 def test_partial_erase_probability_range():
     with pytest.raises(ValueError):
         q.Channel.partial_erase(1.5)
+    # A str or a bool is no probability (a str once raised TypeError here).
+    for bad in ("0.5", b"0.5", True, False, np.True_):
+        with pytest.raises(ValueError) as raised:
+            q.Channel.partial_erase(bad)
+        assert str(raised.value) == f"erase probability must be a real number, got {bad!r}"
+    for bad in (-1e-3, 1.5, math.nan):
+        with pytest.raises(ValueError) as raised:
+            q.Channel.partial_erase(bad)
+        assert str(raised.value) == f"erase probability {bad} outside [0, 1]"
+    # -0 is read as 0.0, so no Kraus operator carries a -0.0.
+    assert math.copysign(1.0, q.check_erase_probability(-0.0)) == 1.0
+    for a, b in zip(q.Channel.partial_erase(-0.0).kraus, q.Channel.partial_erase(0.0).kraus):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_basis_ket_reads_its_index_as_an_integer():
+    # numpy reads a bool index as a mask: basis_ket(2, True) was once the
+    # unnormalized [1, 1], and basis_ket(3, 1.0) raised IndexError.
+    for d, bad in ((2, True), (2, False), (3, np.True_), (3, 1.0), (3, np.float64(1.0)), (3, "1"), (3, None)):
+        with pytest.raises(ValueError) as raised:
+            q.basis_ket(d, bad)
+        assert str(raised.value) == f"basis index {bad!r} is not an integer"
+    assert np.array_equal(q.basis_ket(3, np.int64(1)), [0, 1, 0])
+    with pytest.raises(ValueError, match="^basis index 3 out of range for dimension 3$"):
+        q.basis_ket(3, np.int64(3))
 
 
 def test_non_trace_preserving_channel_rejected():
@@ -347,6 +372,34 @@ def _qutrit_densities_to_check(rng) -> list[np.ndarray]:
     return rhos
 
 
+def _larger_densities_to_check(rng) -> list[np.ndarray]:
+    """d = 4 and 5 densities: valid, not Hermitian, off-trace, not PSD and with a NaN entry."""
+    rhos = []
+    for d in (4, 5):
+        for _ in range(20):
+            ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+            pure = q.projector(ket / np.linalg.norm(ket))
+            w = rng.uniform()
+            rhos += [pure, w * pure + (1 - w) * np.eye(d) / d, 1.25 * pure]
+        for delta in _ulp_steps(q.ATOL_PROB, 3):
+            for offset in (delta, 1j * delta):
+                rho = np.eye(d, dtype=complex) / d
+                rho[0, d - 1] += offset
+                rhos.append(rho)
+        for t in _ulp_steps(1 + q.ATOL_PROB, 3) + _ulp_steps(1 - q.ATOL_PROB, 3):
+            rhos.append(np.diag([t - 0.5] + [0.5 / (d - 1)] * (d - 1)).astype(complex))
+        for low in -q.ATOL_STRUCT + rng.uniform(-1e-9, 1e-9, size=40):
+            v = q.random_unitary(d, rng)
+            rho = v @ np.diag([low] + [(1 - low) / (d - 1)] * (d - 1)) @ v.conj().T
+            rhos.append((rho + rho.conj().T) / 2)
+        for i, j in ((0, 0), (0, d - 1), (d - 1, 0), (d - 2, d - 1)):
+            for bad in (np.nan, complex(np.nan, 1.0), np.inf):
+                rho = np.eye(d, dtype=complex) / d
+                rho[i, j] = bad
+                rhos.append(rho)
+    return rhos
+
+
 def _offsets_near_the_hermitian_bound(rng) -> list[np.ndarray]:
     """Densities with one complex off-diagonal offset of modulus about ATOL_PROB."""
     rhos = []
@@ -394,6 +447,14 @@ def test_qubit_state_checks_decide_as_the_stack_check():
         assert single == _outcome(q.check_density_stack, rho[None]), rho
         decided.add(_kind(single))
     assert decided == {None, "density matrix is not Hermitian"}
+    # From d = 4 on, a State's density goes to the stack check itself.
+    kinds = set()
+    for rho in _larger_densities_to_check(np.random.default_rng(1520)):
+        single = _outcome(q.State, rho)
+        assert single == _outcome(q.check_density_stack, rho[None]), rho
+        kinds.add(_kind(single))
+    assert kinds == {None, "density matrix is not Hermitian", "trace",
+                     "density matrix is not positive semidefinite"}
 
 
 def test_qubit_state_reports_an_overflowing_modulus_as_not_psd():

@@ -205,6 +205,12 @@ def test_value_classical_reversible_d3():
 def test_value_classical_reversible_rejects_other_dims():
     with pytest.raises(ValueError):
         settings.value_classical_reversible(4)
+    # 2.0 once passed the dimension check and raised TypeError later.
+    for bad in (2.0, np.float64(3.0), "2"):
+        with pytest.raises(ValueError) as raised:
+            settings.value_classical_reversible(bad)
+        assert str(raised.value) == f"dimension must be an integer, got {bad!r}"
+    assert settings.value_classical_reversible(np.int64(2)).value == 0.75
 
 
 def test_value_classical_irreversible():
@@ -576,6 +582,17 @@ def test_rz_pair_and_sweep_reject_an_epsilon_that_is_not_real():
             assert str(raised.value) == f"epsilon must be a real number, got {bad!r}"
     with pytest.raises(ValueError, match=r"epsilon 2.0 outside the open interval \(0, pi/2\)"):
         settings.rz_pair_strategy(2.0)
+
+
+def test_uniform_open_grid_reads_its_size_as_an_integer():
+    # 2.5 once raised TypeError from range().
+    for bad in (2.5, np.float64(3.0), "3"):
+        with pytest.raises(ValueError) as raised:
+            settings.uniform_open_grid(bad)
+        assert str(raised.value) == f"number of grid points must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match="^need at least 2 grid points$"):
+        settings.uniform_open_grid(1)
+    assert settings.uniform_open_grid(np.int64(9)) == settings.uniform_open_grid(9)
 
 
 def test_sweep_accepts_any_iterable_and_empty_grid():
