@@ -35,7 +35,6 @@ negative ``--seed``, is a usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -57,6 +56,7 @@ from .quantum import (
     plus_ket,
     projector,
     qudit_gates,
+    random_unitary,
     H,
     I2,
     S,
@@ -256,18 +256,27 @@ def cmd_value(args) -> tuple[dict, list[str], bool]:
     return payload, lines, True
 
 
+# Random plays drawn and verified at once by ``_lemma1_max_deviation``: a
+# chunk's stacks take about 100 KB, so peak memory stays flat in n_random.
+_LEMMA1_CHUNK = 64
+
+
 def _lemma1_max_deviation(seed: int, n_random: int) -> tuple[float, int]:
     """Largest lift deviation over the optimal play and n_random seeded random ones.
 
-    Each random play is drawn, verified and dropped before the next is
-    drawn, so memory does not grow with n_random.
+    The random plays are ``chsh_lift.random_normal_form``'s, drawn in the
+    same order from the same stream, but ``_LEMMA1_CHUNK`` at a time: each
+    chunk is one (m, 4, 2, 2) stack of ``random_unitary`` gates, checked
+    unitary once and verified in one pass (``chsh_lift.max_deviation``),
+    then dropped before the next is drawn, so memory does not grow with
+    n_random.  Every deviation has the bits ``verify_equivalence`` gives
+    the same play.
     """
     rng = np.random.default_rng(seed)
-    strategies = itertools.chain(
-        [settings.optimal_unitary_strategy()],
-        (chsh_lift.random_normal_form(rng) for _ in range(n_random)),
-    )
-    max_dev = max(chsh_lift.verify_equivalence(s)[1] for s in strategies)
+    max_dev = chsh_lift.verify_equivalence(settings.optimal_unitary_strategy())[1]
+    for start in range(0, n_random, _LEMMA1_CHUNK):
+        gates = random_unitary(2, rng, (min(_LEMMA1_CHUNK, n_random - start), 4))
+        max_dev = max(max_dev, chsh_lift.max_deviation(gates))
     return max_dev, 1 + n_random
 
 

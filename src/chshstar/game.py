@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import (
+    _SHARED_FACTOR_MIN,
     Channel,
     Measurement,
     State,
     _dagger_stack,
     _integer,
     _integers,
+    _times,
     apply_channel,
     basis_ket,
     check_density_stack,
@@ -142,37 +144,55 @@ def evaluate_unitary_stack(
     b_stack: np.ndarray,
     measurement: Measurement,
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Exact win probabilities of k unitary plays at once, per input pair.
+    """Exact win probabilities of stacked unitary plays at once, per input pair.
 
-    ``a_stack`` (q, d, d) holds A_a for a = 0..q-1 and ``b_stack`` (q, k, d, d)
-    holds k choices of B_b; play j starts from the density ``initial``,
-    applies A_a, then ``b_stack[b, j]``, and measures ``measurement``.
-    Returns (a, b) -> the k win probabilities, in ``input_pairs`` order
-    (empty arrays when k = 0).
-    Every product and trace is the one ``evaluate`` takes, so each value
-    equals ``evaluate``'s for the same play.
+    ``a_stack`` (..., q, d, d) holds A_a for a = 0..q-1 and ``b_stack``
+    (..., q, k, d, d) holds k choices of B_b, both with the same leading
+    play axes (none, or one of n plays).  Play (i, j) starts from the
+    density ``initial``, applies A_a of play i, then ``b_stack[i, b, j]``,
+    and measures ``measurement``.  Returns (a, b) -> the win probabilities,
+    of shape (..., k), in ``input_pairs`` order (empty arrays when k = 0).
+
+    Every density is U rho U^+ for one unitary U, as ``apply_channel`` takes
+    it, and every trace is ``outcome_probabilities``', so each value equals
+    ``evaluate``'s for the same play.  A factor that many matrices share is
+    taken once, as one product of their rows (``quantum._times``): rho_0 in
+    A_a rho_0 (shared by every A gate of every play) and rho_a in B rho_a
+    (shared by the q k B gates of a play, once there are
+    ``_SHARED_FACTOR_MIN`` of them); every product with a factor of its own
+    (A_a^+, B^+, and B rho_a below that count) is numpy's broadcast matmul.
+    Both forms give every entry the same bits.
 
     The gates are not checked here; callers pass validated unitaries.  The
-    states are, each check once: the q densities after A and the q * q * k
-    final densities, as one stack with the A-stage ones first, are
+    states are, each check once: the q densities after A of every play and
+    all final densities, as one stack with the A-stage ones first, are
     Hermitian, of unit trace and positive semidefinite, and every outcome
     distribution sums to 1.
     """
     q, d = spec.q, initial.shape[0]
-    if a_stack.shape != (q, d, d) or b_stack.ndim != 4 or b_stack.shape[0] != q \
-            or b_stack.shape[2:] != (d, d):
+    lead = a_stack.shape[:-3]
+    k = b_stack.shape[-3] if b_stack.ndim > 2 else -1
+    if len(lead) > 1 or a_stack.shape[-3:] != (q, d, d) or b_stack.shape != lead + (q, k, d, d):
         raise ValueError(f"gate stacks {a_stack.shape}, {b_stack.shape} do not fit q={q}, d={d}")
-    k = b_stack.shape[1]
-    # Each density is U rho U^+, as apply_channel takes it for one Kraus
-    # operator: rho_a[a] with U = A_a, then rhos[a, b, j] with U = b_stack[b, j].
-    rho_a = a_stack @ initial @ _dagger_stack(a_stack)
-    rhos = (b_stack[None] @ rho_a[:, None, None] @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
-    check_density_stack(np.concatenate((rho_a, rhos)))
+    if lead:  # input axes first, so that each input pair's densities are one run
+        a_stack, b_stack = a_stack.swapaxes(0, 1), b_stack.swapaxes(0, 1)
+    rho_a = _times(a_stack, initial) @ _dagger_stack(a_stack)
+    if q * k < _SHARED_FACTOR_MIN:
+        b_rho = b_stack[None] @ rho_a[:, None, ..., None, :, :]
+    else:  # play i's rho_a[a, i] is shared by its q k B gates b_stack[:, i]
+        plays, shared = b_stack.reshape(q, -1, k, d, d), rho_a.reshape(q, -1, d, d)
+        b_rho = np.array([np.stack([_times(plays[:, i], rho) for i, rho in enumerate(rhos)], axis=1)
+                          for rhos in shared]).reshape((q, q) + lead + (k, d, d))
+    rhos = (b_rho @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
+    check_density_stack(np.concatenate((rho_a.reshape(-1, d, d), rhos)))
     probs = outcome_probabilities(measurement, rhos)
+    m = len(rhos) // (q * q)  # values per input pair
     per_input: dict[tuple[int, int], np.ndarray] = {}
     for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers)):
         p = probs.get(answer)
-        per_input[pair] = np.zeros(k) if p is None else p[i * k:(i + 1) * k]
+        per_input[pair] = np.zeros(m) if p is None else p[i * m:(i + 1) * m]
+    if lead:
+        per_input = {pair: p.reshape(lead + (k,)) for pair, p in per_input.items()}
     return per_input
 
 

@@ -17,7 +17,9 @@ density, a ``Channel`` of one Kraus operator, one state's outcomes) is
 checked and summed on the Python scalars of one ``tolist()`` call, a qutrit
 density's smallest eigenvalue aside (``eigvalsh``); above 3, and for stacks
 and channels of several Kraus operators, the stack checks below decide.
-``apply_channel`` applies one Kraus operator without stacking it.
+``apply_channel`` applies one Kraus operator without stacking it.  A
+factor that many matrices of a stack share is taken as one product of the
+stack's rows (``_times``), with the bits of numpy's broadcast product.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -34,6 +36,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -83,8 +86,26 @@ def _integer(value, message: str) -> int:
         raise ValueError(message.format(value)) from None
 
 
+def _real(value, message: str):
+    """The value itself if it is a real number (numpy's too) and no bool; else ValueError, ``message.format(value)``.
+
+    A real number is a ``numbers.Real``; a bool is one, but no angle or
+    probability, and numpy's bool is none.  A float is decided first: the
+    ABC check costs more than the rest of a sweep point's checks.
+    """
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(message.format(value))
+    return value
+
+
+def _dimension(d) -> int:
+    """A dimension as a Python int (numpy's integers too); else ValueError."""
+    return _integer(d, "dimension must be an integer, got {!r}")
+
+
 def basis_ket(d: int, i: int) -> np.ndarray:
-    """Computational basis ket |i> in dimension d; the index is an integer (numpy's too), not a bool."""
+    """Computational basis ket |i> in dimension d; d and the index are integers (numpy's too), the index no bool."""
+    d = _dimension(d)
     if isinstance(i, bool):  # an int to the reader, a mask to numpy
         raise ValueError(f"basis index {i!r} is not an integer")
     i = _integer(i, "basis index {!r} is not an integer")
@@ -96,7 +117,8 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 
 
 def plus_ket(d: int = 2) -> np.ndarray:
-    """Uniform superposition (|0> + ... + |d-1>) / sqrt(d)."""
+    """Uniform superposition (|0> + ... + |d-1>) / sqrt(d); d is an integer (numpy's too)."""
+    d = _dimension(d)
     return np.full(d, 1 / np.sqrt(d), dtype=complex)
 
 
@@ -192,6 +214,24 @@ def _traces(m: np.ndarray) -> np.ndarray:
     The diagonal's sum, as ``np.trace`` takes it, at a fraction of its call cost.
     """
     return m.diagonal(0, -2, -1).sum(-1).real
+
+
+# A d x d factor shared by at least this many matrices of a stack is taken as
+# one (n d, d) @ (d, d) product; on fewer, numpy's broadcast matmul, which
+# takes one product per matrix, costs less.  Every entry of the two forms has
+# the same bits: each is the same sum of the same products in the same order.
+_SHARED_FACTOR_MIN = 16
+
+
+def _times(m: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``m @ factor`` for a stack m (..., d, d) and one d x d right factor, bit for bit.
+
+    A factor shared by ``_SHARED_FACTOR_MIN`` matrices or more is one product
+    of the stack's rows.
+    """
+    if m.size < _SHARED_FACTOR_MIN * factor.size:
+        return m @ factor
+    return (m.reshape(-1, factor.shape[0]) @ factor).reshape(m.shape)
 
 
 def _all(ok: np.ndarray) -> bool:
@@ -333,13 +373,18 @@ def is_left_stochastic(m: np.ndarray) -> bool:
     return bool(np.all(m >= -ATOL_STRUCT)) and _close(m.sum(axis=0), 1.0, ATOL_STRUCT)
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary: complex Gaussian matrix + QR orthonormalization."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
+def random_unitary(d: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+    """Haar-ish random unitary: complex Gaussian matrix + QR orthonormalization.
+
+    ``size`` draws a stack of shape size + (d, d) in one call, each gate
+    bit for bit the one that as many calls in turn would draw: a gate's real
+    parts, then its imaginary parts, are consecutive in ``rng``'s stream.
+    """
+    g = rng.normal(size=(*size, 2, d, d))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     # Fix the phase freedom of QR so the distribution does not favour R's signs.
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    diag = r.diagonal(0, -2, -1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def phase_canonical(u: np.ndarray) -> np.ndarray:
@@ -392,10 +437,8 @@ class State:
 
 
 def check_erase_probability(p) -> float:
-    """p as a float in [0, 1], -0 read as 0.0; ValueError, naming p, for a str, a bool or a value outside."""
-    if isinstance(p, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"erase probability must be a real number, got {p!r}")
-    p = float(p) + 0.0  # -0.0 + 0.0 is 0.0
+    """p as a float in [0, 1], -0 read as 0.0; ValueError, naming p, unless p is a real number (``_real``) inside."""
+    p = float(_real(p, "erase probability must be a real number, got {!r}")) + 0.0  # -0.0 + 0.0 is 0.0
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erase probability {p} outside [0, 1]")
     return p
@@ -591,12 +634,14 @@ class Measurement:
 
     @classmethod
     def computational(cls, d: int, labels=None) -> "Measurement":
+        """Computational basis measurement; d is an integer (numpy's too)."""
+        d = _dimension(d)
         return cls.from_basis([basis_ket(d, i) for i in range(d)], labels)
 
     @classmethod
     def fourier(cls, d: int, labels=None) -> "Measurement":
-        """Fourier ("X") basis measurement; outcome k labeled ``labels[k]``."""
-        return cls.from_basis(_fourier_kets(d), labels)
+        """Fourier ("X") basis measurement; outcome k labeled ``labels[k]``; d is an integer (numpy's too)."""
+        return cls.from_basis(_fourier_kets(_dimension(d)), labels)
 
     @property
     def dim(self) -> int:
@@ -620,13 +665,22 @@ def _sum_by_label(labels, columns) -> dict:
 
 
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
-    """Label -> probabilities over a stack of densities, outcomes sharing a label summed.
+    """Label -> probabilities over a stack of densities (n, d, d), outcomes sharing a label summed.
 
-    Every outcome's trace tr(P_i rho) comes from one product of the
-    measurement's projector stack with the density stack.  One check runs,
-    once per density: the probabilities sum to 1.
+    Every outcome's trace tr(P_i rho) is the trace of a product taken once
+    per density.  Below ``_SHARED_FACTOR_MIN`` densities it is P_i rho, from
+    one broadcast product of the measurement's projector stack with the
+    density stack; from there on it is rho^T P_i^T, whose diagonal is the
+    same sums of the same products: one product of the rows of every rho^T
+    with P_i^T per projector (``_times``).  One check runs, once per
+    density: the probabilities sum to 1.
     """
-    agg = _sum_by_label(m.outcome_labels, _traces(m._stack @ rhos[:, None]).T)
+    if len(rhos) < _SHARED_FACTOR_MIN:
+        columns = _traces(m._stack @ rhos[:, None]).T
+    else:
+        rows = np.ascontiguousarray(rhos.swapaxes(-1, -2))
+        columns = [_traces(_times(rows, p.T)) for p in m._stack]
+    agg = _sum_by_label(m.outcome_labels, columns)
     total = functools.reduce(operator.add, agg.values())  # from the first label's column, not 0
     ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)
     if not _all(ok):
@@ -675,8 +729,10 @@ def qudit_gates(d: int) -> dict[str, np.ndarray]:
     Always contains "I", "X" (cyclic shift) and "F" (the Fourier matrix whose
     columns are the X-basis states).  For d=3 it additionally contains the
     diagonal phase gates "T3" = diag(1, w^{-1/3}, w^{-2/3}), "V" = diag(1, w, w)
-    and "W" = diag(1, 1, w) with w = exp(2 pi i / 3).
+    and "W" = diag(1, 1, w) with w = exp(2 pi i / 3).  d is an integer
+    (numpy's too).
     """
+    d = _dimension(d)
     if d < 2:
         raise ValueError(f"unsupported dimension {d}")
     gates = {

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,8 +26,10 @@ from .quantum import (
     Channel,
     Measurement,
     State,
+    _dimension,
     _integer,
     _read_only,
+    _real,
     basis_ket,
     check_unitary_stack,
     pauli_eigenstates,
@@ -88,14 +89,14 @@ class SettingSpec:
             raise ValueError(f"unknown setting kind {self.kind!r}")
         allowed, _ = SETTINGS[self.kind]
         dimension = allowed[0] if self.dimension is None else self.dimension
-        object.__setattr__(self, "dimension", _integer(dimension, "dimension must be an integer, got {!r}"))
+        object.__setattr__(self, "dimension", _dimension(dimension))
         if self.dimension not in allowed:
             raise ValueError(
                 f"setting {self.kind!r} supports dimensions {allowed}, got {self.dimension}"
             )
         if self.kind == "clifford_plus_rz":
             if self.epsilon is not None:
-                _check_epsilon_is_real(self.epsilon)
+                _real(self.epsilon, _EPSILON_NOT_REAL)
             if self.epsilon is None or not 0 < self.epsilon < np.pi / 2:
                 raise ValueError("clifford_plus_rz requires epsilon in (0, pi/2)")
         elif self.epsilon is not None:
@@ -151,14 +152,11 @@ def irreversible_strategy() -> game.Strategy:
     )
 
 
-def _check_epsilon_is_real(epsilon) -> None:
-    # bool is a numbers.Real, but True is no angle.
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+_EPSILON_NOT_REAL = "epsilon must be a real number, got {!r}"
 
 
 def _check_epsilon(epsilon) -> None:
-    _check_epsilon_is_real(epsilon)
+    _real(epsilon, _EPSILON_NOT_REAL)
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"epsilon {epsilon} outside the open interval (0, pi/2)")
 
@@ -371,7 +369,7 @@ def _classical_result(d, q, wins, witness_tuple, examined) -> ValueResult:
 
 def value_classical_reversible(d: int) -> ValueResult:
     """Exhaustive search over permutation gates and all symbol-to-bit readouts."""
-    d = _integer(d, "dimension must be an integer, got {!r}")
+    d = _dimension(d)
     if d not in (2, 3):
         raise ValueError(f"unsupported dimension {d}")
     perms = list(itertools.permutations(range(d)))

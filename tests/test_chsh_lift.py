@@ -186,6 +186,35 @@ def test_verify_equivalence_thousand_random_strategies():
     assert worst <= 1e-12
 
 
+def test_max_deviation_has_the_bits_of_each_plays_check():
+    # Both sides of the batch, play by play, against the per-strategy path.
+    gates = q.random_unitary(2, np.random.default_rng(2028), (600, 4))
+    a_gates, b_gates = gates[:, :2], gates[:, 2:]
+    single = game.evaluate_unitary_stack(chsh_lift._QUBIT_GAME, q.projector(q.plus_ket()), a_gates,
+                                         b_gates[:, :, None], q.Measurement.pauli("x"))
+    squares = chsh_lift._joint_squares(a_gates.swapaxes(-1, -2), b_gates)
+    deviations = []
+    for i, play in enumerate(gates):
+        s = chsh_lift.normal_form(*play)
+        report = game.evaluate(chsh_lift._QUBIT_GAME, s)
+        assert [single[pair][i, 0].hex() for pair in report.per_input] == \
+            [p.hex() for p in report.per_input.values()]
+        joint = chsh_lift.evaluate_chsh(chsh_lift.lift(s)).joint_table
+        assert [p.hex() for p in squares[16 * i:16 * (i + 1)]] == [p.hex() for p in joint.values()]
+        deviations.append(chsh_lift.verify_equivalence(s)[1])
+        assert chsh_lift.max_deviation(gates[i:i + 1]).hex() == deviations[-1].hex()
+    assert chsh_lift.max_deviation(gates).hex() == max(deviations).hex()
+
+
+def test_max_deviation_rejects_a_gate_that_is_not_unitary():
+    gates = q.random_unitary(2, np.random.default_rng(5), (3, 4))
+    gates[1, 2] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="^matrix is not unitary$"):
+        chsh_lift.normal_form(*gates[1])
+    with pytest.raises(ValueError, match="^matrix is not unitary$"):
+        chsh_lift.max_deviation(gates)
+
+
 def test_verify_equivalence_checks_all_its_densities_in_one_call(monkeypatch):
     rng = np.random.default_rng(17)
     strategies = [chsh_lift.random_normal_form(rng) for _ in range(5)]

@@ -292,6 +292,20 @@ def test_lemma1_batch_draws_in_order_and_counts_every_play():
         assert cli._lemma1_max_deviation(seed, n_random) == (expected, n_random + 1)
 
 
+def test_lemma1_chunks_have_the_bits_of_per_strategy_checks():
+    # Batches of one play, across each chunk boundary and of several chunks.
+    chunk = cli._LEMMA1_CHUNK
+    for seed in (5, 12345):
+        for n_random in (1, chunk - 1, chunk, chunk + 1, 600):
+            rng = np.random.default_rng(seed)
+            strategies = [settings.optimal_unitary_strategy()] + [
+                chsh_lift.random_normal_form(rng) for _ in range(n_random)
+            ]
+            expected = max(chsh_lift.verify_equivalence(s)[1] for s in strategies)
+            max_dev, checked = cli._lemma1_max_deviation(seed, n_random)
+            assert (max_dev.hex(), checked) == (expected.hex(), n_random + 1)
+
+
 def test_lemma1_batch_memory_does_not_grow_with_n_random():
     # A list of plays would hold about 3.5 KB each (1.6 MB more at 500 than
     # at 50); the streamed batch holds one play at a time.

@@ -182,6 +182,46 @@ def test_unitary_stack_kernel_evaluates_each_stacked_play():
             assert p[j] == expected[key]
 
 
+def _broadcast_kernel(spec, initial, a_stack, b_stack, measurement):
+    """The kernel's values for one play of k B choices, every product one broadcast matmul."""
+    d, k = initial.shape[0], b_stack.shape[1]
+    rho_a = a_stack @ initial @ q._dagger_stack(a_stack)
+    rhos = (b_stack[None] @ rho_a[:, None, None] @ q._dagger_stack(b_stack)[None]).reshape(-1, d, d)
+    probs = q._sum_by_label(measurement.outcome_labels, q._traces(measurement._stack @ rhos[:, None]).T)
+    return {pair: probs[answer][i * k:(i + 1) * k] if answer in probs else np.zeros(k)
+            for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers))}
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of the values, so that equal means equal by ``float.hex``."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_unitary_stack_kernel_has_the_broadcast_bits_with_and_without_a_play_axis():
+    # Shared factors are taken as right products from _SHARED_FACTOR_MIN
+    # matrices on; every value must keep the broadcast form's bits, for one
+    # play and for each play of a stack of them.
+    rng = np.random.default_rng(206)
+    cases = [(game.GameSpec(2), q.Measurement.pauli("x")), (game.GameSpec(2), q.Measurement.pauli("y", (1, 1))),
+             (game.GameSpec(3), q.Measurement.fourier(3)), (game.GameSpec(3), q.Measurement.fourier(3, (2, 0, 2)))]
+    for spec, measurement in cases:
+        d = measurement.dim
+        initial = q.projector(q.random_unitary(d, rng)[:, 0])
+        for k in (1, 2, 37, 1001):
+            # 9 plays: the 2 or 3 A gates of each share rho_0 with 17 or more others.
+            a_stack = q.random_unitary(d, rng, (9, spec.q))
+            b_stack = q.random_unitary(d, rng, (9, spec.q, k))
+            stacked = game.evaluate_unitary_stack(spec, initial, a_stack, b_stack, measurement)
+            assert list(stacked) == spec.input_pairs()
+            for i in range(9):
+                expected = _broadcast_kernel(spec, initial, a_stack[i], b_stack[i], measurement)
+                single = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
+                for pair, values in expected.items():
+                    assert stacked[pair].shape == (9, k) and single[pair].shape == (k,)
+                    assert _bits(single[pair]) == _bits(values)
+                    assert _bits(stacked[pair][i]) == _bits(values)
+
+
 def test_unitary_stack_kernel_checks_every_density():
     spec, s = game.GameSpec(2), optimal_unitary_strategy()
     a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])
@@ -198,7 +238,9 @@ def test_unitary_stack_kernel_rejects_stacks_that_do_not_fit_the_game():
     a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])
     b_stack = np.stack([[s.b_gates[b].kraus[0]] for b in (0, 1)])
     for a_gates, b_gates in ((a_stack[:1], b_stack), (a_stack, b_stack[:, 0]),
-                             (a_stack, b_stack[:1]), (a_stack, np.zeros((2, 1, 3, 3)))):
+                             (a_stack, b_stack[:1]), (a_stack, np.zeros((2, 1, 3, 3))),
+                             (a_stack[None], b_stack), (a_stack[None], b_stack[None, None]),
+                             (a_stack[None, None], b_stack[None, None]), (a_stack, b_stack[0, 0])):
         with pytest.raises(ValueError, match="do not fit"):
             game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
 

@@ -64,6 +64,91 @@ def test_basis_ket_reads_its_index_as_an_integer():
         q.basis_ket(3, np.int64(3))
 
 
+def test_builders_read_their_dimension_as_an_integer():
+    # plus_ket(2.0) and Measurement.fourier(3.0) once raised TypeError from numpy or range().
+    builders = (lambda d: q.basis_ket(d, 0), q.plus_ket, q.qudit_gates, q.Measurement.computational,
+                q.Measurement.fourier)
+    for build in builders:
+        for bad in (2.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError) as raised:
+                build(bad)
+            assert str(raised.value) == f"dimension must be an integer, got {bad!r}"
+    assert q.plus_ket(np.int64(3)).tobytes() == q.plus_ket(3).tobytes()
+    assert q.basis_ket(np.int64(2), 1).tobytes() == q.basis_ket(2, 1).tobytes()
+    assert q.Measurement.fourier(np.int64(3))._stack.tobytes() == q.Measurement.fourier(3)._stack.tobytes()
+    assert q.Measurement.computational(np.int64(2)).dim == 2
+    assert list(q.qudit_gates(np.int64(3))) == list(q.qudit_gates(3))
+
+
+def test_erase_probability_is_read_by_the_real_number_reader():
+    # A 0-d array, a Decimal and None were once read through float() (None
+    # raising TypeError); they are no real number, as for epsilon.
+    from decimal import Decimal
+    from fractions import Fraction
+
+    for bad in (np.array(0.5), Decimal("0.5"), None, 0.5 + 0j):
+        with pytest.raises(ValueError) as raised:
+            q.check_erase_probability(bad)
+        assert str(raised.value) == f"erase probability must be a real number, got {bad!r}"
+    for good in (0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+        assert q.check_erase_probability(good) == 0.25
+    assert q.check_erase_probability(1) == 1.0 and q.check_erase_probability(np.int64(0)) == 0.0
+
+
+def test_random_unitary_stack_draws_the_gates_of_successive_calls():
+    def reference(d, rng):  # the one-gate draw, as it was written before the stacked one
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        qq, r = np.linalg.qr(g)
+        diag = np.diag(r)
+        return qq * (diag / np.abs(diag))
+
+    for d in (2, 3):
+        for size in ((), (1,), (4,), (7, 4)):
+            rng = np.random.default_rng(d)
+            expected = np.array([reference(d, rng) for _ in range(math.prod(size))])
+            stack = q.random_unitary(d, np.random.default_rng(d), size)
+            assert stack.shape == size + (d, d)
+            assert stack.tobytes() == expected.tobytes()
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of the values (complex ones as their parts), so that equal means equal by ``float.hex``."""
+    return np.asarray(values).tobytes()
+
+
+def test_shared_right_factor_product_has_the_broadcast_bits():
+    # The (n d, d) @ (d, d) product of a stack's rows, at every stack size,
+    # and _times, which takes it from _SHARED_FACTOR_MIN matrices on.
+    rng = np.random.default_rng(28)
+    for d in (2, 3):
+        factor = q.random_unitary(d, rng)
+        for n in (1, 2, 15, 16, 17, 37, 1001, 4004):
+            m = q.random_unitary(d, rng, (n,))
+            broadcast = _bits(m @ factor)
+            assert _bits((m.reshape(-1, d) @ factor).reshape(m.shape)) == broadcast
+            assert _bits(q._times(m, factor)) == broadcast
+
+
+def test_outcome_traces_of_large_stacks_have_the_broadcast_bits():
+    # tr(P rho) read off rho^T P^T, one product per projector, at every
+    # stack size, and outcome_probabilities, which reads it so from
+    # _SHARED_FACTOR_MIN densities on.
+    rng = np.random.default_rng(29)
+    for d, labels in ((2, (0, 1)), (2, (1, 1)), (3, (0, 1, 2)), (3, (2, 0, 2))):
+        m = q.Measurement.from_basis(list(q.random_unitary(d, rng).T), labels)
+        for n in (1, 2, 15, 16, 17, 148, 4004):
+            kets = q.random_unitary(d, rng, (n,))[:, :, 0]
+            rhos = kets[:, :, None] * kets[:, None, :].conj()
+            broadcast = q._traces(m._stack @ rhos[:, None]).T
+            rows = rhos.swapaxes(-1, -2).reshape(-1, d)
+            assert _bits([q._traces((rows @ p.T).reshape(-1, d, d)) for p in m._stack]) == _bits(broadcast)
+            expected = q._sum_by_label(m.outcome_labels, broadcast)
+            probs = q.outcome_probabilities(m, rhos)
+            assert list(probs) == list(expected)
+            for label in probs:
+                assert _bits(probs[label]) == _bits(expected[label])
+
+
 def test_non_trace_preserving_channel_rejected():
     with pytest.raises(ValueError, match="trace preserving"):
         q.Channel((0.5 * q.I2,))

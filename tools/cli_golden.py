@@ -55,8 +55,10 @@ COMMANDS = [
     *(({}, ["verify-lemma1", "--n-random", "5", *tol, "--format", f])
       for tol in ([], ["--tol", "1e-16"]) for f in ("json", "text")),
     ({"CHSHSTAR_SEED": "777"}, ["verify-lemma1", "--n-random", "3", "--format", "json"]),
-    # The lift at the batch size of the benchmark's value table.
+    # The lift at the batch size of the benchmark's value table, and across
+    # the chunks the batch is drawn and checked in.
     ({}, ["verify-lemma1", "--n-random", "200", "--seed", "5", "--format", "json"]),
+    ({}, ["verify-lemma1", "--n-random", "600", "--seed", "12345", "--format", "json"]),
     *(({}, ["sweep-epsilon", "--steps", "9", "--format", f]) for f in ("json", "csv", "text")),
     ({}, ["sweep-epsilon", "--steps", "1001", "--format", "csv"]),
     *(({}, ["landauer", *a, "--format", f]) for a in _LANDAUER for f in ("json", "text")),
@@ -64,6 +66,7 @@ COMMANDS = [
     ({}, ["q3", "--format", "text"]),
     ({}, ["reproduce-all", "--n-random", "5", "--format", "json"]),
     ({}, ["reproduce-all", "--n-random", "5", "--format", "text"]),
+    ({}, ["reproduce-all", "--format", "json"]),  # the default --n-random 1000
     # --output: the written file must equal stdout, also on a failing result.
     ({}, ["sweep-epsilon", "--steps", "5", "--format", "csv", "--output", OUT]),
     ({}, ["landauer", "--p", "0.5", "--format", "json", "--output", OUT]),
