@@ -179,11 +179,14 @@ def evaluate_chsh(cs: ChshStrategy) -> ChshReport:
     """
     a_keys, b_keys = tuple(sorted(cs.alice_gates)), tuple(sorted(cs.bob_gates))
     gates = [cs.alice_gates[a] for a in a_keys] + [cs.bob_gates[b] for b in b_keys]
-    if any(np.shape(g) != (2, 2) for g in gates):
+    try:  # no gate at all is an empty stack of 2x2 gates
+        gates = np.array(gates or np.empty((0, 2, 2)), dtype=complex)
+    except (TypeError, ValueError):  # gates of different shapes, or no numbers
+        gates = np.empty(0)
+    if gates.shape[1:] != (2, 2):
         raise ValueError("local gates must be 2x2")
-    gates = np.array(gates, dtype=complex).reshape(1, -1, 2, 2)
     inputs, joint_keys, odd = _chsh_tables(a_keys, b_keys)
-    squares = _joint_squares(gates[:, :len(a_keys)], gates[:, len(a_keys):])
+    squares = _joint_squares(gates[None, :len(a_keys)], gates[None, len(a_keys):])
     return ChshReport(per_input=dict(zip(inputs, _lifted_wins(squares, inputs, odd))),
                       joint_table=dict(zip(joint_keys, squares)))
 
@@ -202,14 +205,8 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     """
     game._check_inputs(_QUBIT_GAME, s.a_gates, s.b_gates, s.measurement.outcome_labels)
     cs = lift(s)
-    inputs = _QUBIT_GAME.input_alphabet
-    single = game.evaluate_unitary_stack(
-        _QUBIT_GAME,
-        s.initial.density,
-        np.concatenate([s.a_gates[a]._stack for a in inputs]),
-        np.array([s.b_gates[b]._stack for b in inputs]),
-        s.measurement,
-    )
+    gates = np.concatenate([s.a_gates[0]._stack, s.a_gates[1]._stack, s.b_gates[0]._stack, s.b_gates[1]._stack])
+    single = game.evaluate_unitary_stack(_QUBIT_GAME, s.initial.density, gates[:2], gates[2:, None], s.measurement)
     lifted = evaluate_chsh(cs).per_input
     max_dev = max(abs(float(single[k][0]) - lifted[k]) for k in single)
     return max_dev <= tol, max_dev

@@ -88,9 +88,7 @@ class Strategy:
     measurement: Measurement
 
     def __post_init__(self):
-        dims = {self.initial.dim, self.measurement.dim}
-        dims.update(ch.dim for ch in self.a_gates.values())
-        dims.update(ch.dim for ch in self.b_gates.values())
+        dims = {c.dim for c in (self.initial, self.measurement, *self.a_gates.values(), *self.b_gates.values())}
         if len(dims) != 1:
             raise ValueError(f"strategy components disagree on dimension: {sorted(dims)}")
 
@@ -185,15 +183,10 @@ def evaluate_unitary_stack(
                           for rhos in shared]).reshape((q, q) + lead + (k, d, d))
     rhos = (b_rho @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
     check_density_stack(np.concatenate((rho_a.reshape(-1, d, d), rhos)))
-    probs = outcome_probabilities(measurement, rhos)
-    m = len(rhos) // (q * q)  # values per input pair
-    per_input: dict[tuple[int, int], np.ndarray] = {}
-    for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers)):
-        p = probs.get(answer)
-        per_input[pair] = np.zeros(m) if p is None else p[i * m:(i + 1) * m]
-    if lead:
-        per_input = {pair: p.reshape(lead + (k,)) for pair, p in per_input.items()}
-    return per_input
+    per_label = {label: p.reshape((q * q,) + lead + (k,))
+                 for label, p in outcome_probabilities(measurement, rhos).items()}
+    return {pair: per_label[answer][i] if answer in per_label else np.zeros(lead + (k,))
+            for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers))}
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:

@@ -12,11 +12,13 @@ Density matrices are checked Hermitian and of unit trace to ``ATOL_PROB``
 and positive semidefinite to ``ATOL_STRUCT``; the smallest eigenvalue of a
 qubit density is read in closed form, larger ones go through ``eigvalsh``.
 Every complex modulus in a check is libm's ``hypot`` of its parts.
-One rule picks the path: one object of dimension 2 or 3 (a ``State``'s
-density, a ``Channel`` of one Kraus operator, one state's outcomes) is
-checked and summed on the Python scalars of one ``tolist()`` call, a qutrit
-density's smallest eigenvalue aside (``eigvalsh``); above 3, and for stacks
-and channels of several Kraus operators, the stack checks below decide.
+One size rule, ``_SHARED_FACTOR_MIN`` (16), picks the path: fewer densities
+of dimension 2 or 3 (a ``State``'s is a stack of one) are checked, and their
+outcome traces summed, on the scalars of one ``tolist()``, as is one 2x2 or
+3x3 Kraus operator, since numpy's fixed cost per call is most of such a
+check.  A trace of dimension 3 or less is elementwise adds from 0.0, bit for
+bit numpy's reduce, which on a short axis runs several times slower after a
+matmul.
 ``apply_channel`` applies one Kraus operator without stacking it.  A
 factor that many matrices of a stack share is taken as one product of the
 stack's rows (``_times``), with the bits of numpy's broadcast product.
@@ -33,9 +35,7 @@ Phase conventions used throughout:
 
 from __future__ import annotations
 
-import copy
 import functools
-import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -128,7 +128,8 @@ def minus_ket() -> np.ndarray:
 
 
 def fourier_ket(d: int, k: int) -> np.ndarray:
-    """Fourier ("X") basis state |x_k> = d^{-1/2} sum_j w^{jk} |j>."""
+    """Fourier ("X") basis state |x_k> = d^{-1/2} sum_j w^{jk} |j>; d is an integer (numpy's too)."""
+    d = _dimension(d)
     w = np.exp(2j * np.pi / d)
     return np.array([w ** (j * k) for j in range(d)], dtype=complex) / np.sqrt(d)
 
@@ -196,8 +197,9 @@ def projector(ket: np.ndarray) -> np.ndarray:
 
 
 # Structural checks.  Each works on a stack of shape (n, d, d) and holds only
-# if it holds for every matrix of the stack; one 2x2 or 3x3 density or
-# Kraus operator is checked on scalars instead (below).  Closeness is
+# if it holds for every matrix of the stack; fewer than _SHARED_FACTOR_MIN
+# 2x2 or 3x3 densities, or one such Kraus operator, are checked on scalars
+# instead (below).  Closeness is
 # ``|a - b| <= atol`` entrywise, which, unlike ``np.allclose``, never counts
 # inf or NaN as close; a complex modulus is ``np.hypot`` of its parts, libm's
 # hypot, as Python's abs() takes it.  The stacks are small, so the checks keep
@@ -211,15 +213,26 @@ def _dagger_stack(m: np.ndarray) -> np.ndarray:
 def _traces(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of every matrix of a stack (the last two axes).
 
-    The diagonal's sum, as ``np.trace`` takes it, at a fraction of its call cost.
+    The diagonal's sum, as ``np.trace`` takes it: numpy's reduce from 4 on,
+    elementwise adds of the real parts from 0.0 up to 3, which give its bits
+    (numpy adds three entries or fewer in order, from 0.0) at a fraction of
+    the cost of a reduce over a short axis.
     """
-    return m.diagonal(0, -2, -1).sum(-1).real
+    diagonal = m.diagonal(0, -2, -1)
+    if diagonal.shape[-1] > 3:
+        return diagonal.sum(-1).real
+    tr = 0.0
+    for i in range(diagonal.shape[-1]):
+        tr = tr + diagonal[..., i].real
+    return tr
 
 
 # A d x d factor shared by at least this many matrices of a stack is taken as
 # one (n d, d) @ (d, d) product; on fewer, numpy's broadcast matmul, which
 # takes one product per matrix, costs less.  Every entry of the two forms has
 # the same bits: each is the same sum of the same products in the same order.
+# Below the same count, 2x2 and 3x3 densities are checked and their outcome
+# traces summed on Python scalars, where numpy's cost per call dominates.
 _SHARED_FACTOR_MIN = 16
 
 
@@ -263,77 +276,72 @@ def check_unitary_stack(us: np.ndarray) -> None:
 def check_density_stack(rhos: np.ndarray) -> None:
     """Raise unless every matrix of the stack is Hermitian, of unit trace and PSD.
 
-    PSD means a smallest eigenvalue of at least ``-ATOL_STRUCT``.  For
-    qubits it is read in closed form, tr/2 - hypot((a - b)/2, |rho_10|) with
-    a, b the real diagonal (the lower triangle, as ``eigvalsh`` reads the
-    matrix); larger matrices go through ``eigvalsh``.  An empty stack passes.
+    Each check runs over the whole stack before the next: Hermitian to
+    ``ATOL_PROB`` (|rho_ij - conj(rho_ji)| for i <= j: entry (j, i) of
+    rho - rho^+ has the modulus of entry (i, j)), the trace's real part
+    within ``ATOL_PROB`` of 1 (the first that is not is named), and a
+    smallest eigenvalue of at least ``-ATOL_STRUCT``: for qubits tr/2 -
+    hypot((a - b)/2, |rho_10|) with a, b the real diagonal (the lower
+    triangle, as ``eigvalsh`` reads it), else one ``eigvalsh`` of the stack.
+    Below ``_SHARED_FACTOR_MIN`` 2x2 or 3x3 matrices they run on Python
+    scalars, a modulus being abs() of a Python complex, libm's hypot as
+    ``np.hypot``; a modulus of finite parts that overflows fails either way
+    (inf, OverflowError).  An empty stack passes.
     """
-    if not _close(rhos, _dagger_stack(rhos), ATOL_PROB):
-        raise ValueError("density matrix is not Hermitian")
-    tr = _traces(rhos)
-    ok = np.abs(tr - 1.0) <= np.float64(ATOL_PROB)
-    if not _all(ok):
-        raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
-    if rhos.shape[-1] == 2:
-        # tr is a + b exactly: the trace of a 2x2 matrix is one addition.
-        r = rhos[:, 1, 0]
-        lam = tr / 2 - np.hypot((rhos[:, 0, 0] - rhos[:, 1, 1]).real / 2, np.hypot(r.real, r.imag))
-    else:
-        lam = np.linalg.eigvalsh(rhos)[:, 0]
-    if np.count_nonzero(lam < np.float64(-ATOL_STRUCT)):
-        raise ValueError("density matrix is not positive semidefinite")
-
-
-# The same checks for one object, on Python scalars: numpy's fixed cost per
-# call is most of a stack check of one small matrix.  A complex modulus is
-# abs() of a Python complex, libm's hypot, the stack checks' ``np.hypot``.
-# Where the modulus of finite parts overflows, numpy gives inf and Python's
-# abs() raises OverflowError; both fail the check that takes it.
-
-def _check_density(rho: np.ndarray) -> None:
-    """``check_density_stack(rho[None])`` for one d x d density, on scalars for d = 2 and 3.
-
-    Any other d goes to ``check_density_stack`` itself.  The scalar path
-    runs the same checks in the same order, with the same messages:
-    Hermitian to ``ATOL_PROB`` (each pair of entries once: rho_ij against
-    conj(rho_ji) and rho_ji against conj(rho_ij) have one modulus), the
-    trace's real part within ``ATOL_PROB`` of 1 (numpy's bit for bit: numpy
-    adds three complex entries or fewer in order, from 0.0), and a smallest
-    eigenvalue of at least ``-ATOL_STRUCT``: tr/2 - hypot((a - b)/2,
-    |rho_10|) for a qubit, ``eigvalsh`` of the stack of one for a qutrit,
-    the call the stack check makes.
-    """
-    rows = rho.tolist()
-    d = len(rows)
-    if d not in (2, 3):
-        return check_density_stack(rho[None])
-    try:
-        if d == 2:  # unrolled: every qubit evaluation builds eight of these
-            (a, c), (r, b) = rows
-            hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
-                         and abs(b - b.conjugate()) <= ATOL_PROB)
-        else:  # unrolled: every qutrit evaluation builds eighteen
-            (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-            hermitian = (abs(r00 - r00.conjugate()) <= ATOL_PROB and abs(r01 - r10.conjugate()) <= ATOL_PROB
-                         and abs(r02 - r20.conjugate()) <= ATOL_PROB and abs(r11 - r11.conjugate()) <= ATOL_PROB
-                         and abs(r12 - r21.conjugate()) <= ATOL_PROB and abs(r22 - r22.conjugate()) <= ATOL_PROB)
-    except OverflowError:
-        hermitian = False
+    d = rhos.shape[-1]
+    rows = rhos.tolist() if len(rhos) < _SHARED_FACTOR_MIN and d in (2, 3) else None
+    if rows is None:
+        (i, j), flat, diagonal = np.triu_indices(d, 1), rhos.reshape(len(rhos), -1), rhos.diagonal(0, -2, -1)
+        hermitian = (_close(flat.take(i * d + j, 1), flat.take(j * d + i, 1).conj(), ATOL_PROB)
+                     and _close(diagonal, diagonal.conj(), ATOL_PROB))
+    else:  # unrolled: a lift check takes six qubit densities, a qutrit evaluation eighteen
+        hermitian, tr = True, []  # the traces summed as ``_traces`` sums them, from 0.0
+        try:
+            for rho in rows:
+                if d == 2:
+                    (a, c), (r, b) = rho
+                    hermitian = (abs(a - a.conjugate()) <= ATOL_PROB and abs(c - r.conjugate()) <= ATOL_PROB
+                                 and abs(b - b.conjugate()) <= ATOL_PROB)
+                    tr.append(0.0 + a.real + b.real)
+                else:
+                    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rho
+                    hermitian = (abs(r00 - r00.conjugate()) <= ATOL_PROB and abs(r01 - r10.conjugate()) <= ATOL_PROB
+                                 and abs(r02 - r20.conjugate()) <= ATOL_PROB and abs(r11 - r11.conjugate()) <= ATOL_PROB
+                                 and abs(r12 - r21.conjugate()) <= ATOL_PROB and abs(r22 - r22.conjugate()) <= ATOL_PROB)
+                    tr.append(0.0 + r00.real + r11.real + r22.real)
+                if not hermitian:
+                    break
+        except OverflowError:
+            hermitian = False
     if not hermitian:
         raise ValueError("density matrix is not Hermitian")
-    tr = 0.0
-    for i, row in enumerate(rows):
-        tr += row[i].real
-    if not abs(tr - 1.0) <= ATOL_PROB:
-        raise ValueError(f"density matrix trace is {tr}, expected 1")
-    if d == 2:
-        try:
-            lam = tr / 2 - abs(complex((a.real - b.real) / 2, abs(r)))
-        except OverflowError:
-            lam = -math.inf
+    if rows is None:
+        tr = _traces(rhos)
+        ok = np.abs(tr - 1.0) <= np.float64(ATOL_PROB)
+        if not _all(ok):
+            raise ValueError(f"density matrix trace is {tr[~ok][0]}, expected 1")
+        if d == 2:  # tr is a + b exactly: the trace of a 2x2 matrix is one addition
+            r = rhos[:, 1, 0]
+            lam = tr / 2 - np.hypot((rhos[:, 0, 0] - rhos[:, 1, 1]).real / 2, np.hypot(r.real, r.imag))
+        else:
+            lam = np.linalg.eigvalsh(rhos)[:, 0]
+        negative = np.count_nonzero(lam < np.float64(-ATOL_STRUCT))
     else:
-        lam = np.linalg.eigvalsh(rho[None])[0, 0]
-    if lam < -ATOL_STRUCT:
+        for t in tr:
+            if not abs(t - 1.0) <= ATOL_PROB:
+                raise ValueError(f"density matrix trace is {t}, expected 1")
+        if d == 2:
+            negative = False
+            try:
+                for ((a, _), (r, b)), t in zip(rows, tr):
+                    if t / 2 - abs(complex((a.real - b.real) / 2, abs(r))) < -ATOL_STRUCT:
+                        negative = True
+                        break
+            except OverflowError:  # the smallest eigenvalue is -inf
+                negative = True
+        else:
+            negative = any(x < -ATOL_STRUCT for x in np.linalg.eigvalsh(rhos)[:, 0].tolist())
+    if negative:
         raise ValueError("density matrix is not positive semidefinite")
 
 
@@ -379,7 +387,9 @@ def random_unitary(d: int, rng: np.random.Generator, size: tuple = ()) -> np.nda
     ``size`` draws a stack of shape size + (d, d) in one call, each gate
     bit for bit the one that as many calls in turn would draw: a gate's real
     parts, then its imaginary parts, are consecutive in ``rng``'s stream.
+    d is an integer (numpy's too).
     """
+    d = _dimension(d)
     g = rng.normal(size=(*size, 2, d, d))
     q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     # Fix the phase freedom of QR so the distribution does not favour R's signs.
@@ -413,8 +423,8 @@ class State:
     Like ``Channel`` and ``Measurement``, a state compares and hashes by
     identity: its fields are arrays, which have no single truth value.  It
     keeps a read-only copy of the caller's array, so a later write to that
-    array cannot change a validated state, and checks it on scalars
-    (``_check_density``).
+    array cannot change a validated state, and checks it as a stack of one
+    (``check_density_stack``).
     """
 
     density: np.ndarray
@@ -424,7 +434,7 @@ class State:
         if rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
         rho.flags.writeable = False
-        _check_density(rho)
+        check_density_stack(rho[None])
         object.__setattr__(self, "density", rho)
 
     @classmethod
@@ -459,11 +469,11 @@ class Channel:
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(_as_matrix(k, "kraus operator") for k in self.kraus)
+        ops = tuple([_as_matrix(k, "kraus operator") for k in self.kraus])
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
+        if len(ops) > 1 and any(k.shape != shape for k in ops):
             raise ValueError("all Kraus operators must share one shape")
         if shape[0] != shape[1]:
             raise ValueError("only square Kraus operators are supported")
@@ -475,7 +485,7 @@ class Channel:
             complete = _close(grams if len(ks) == 1 else grams.sum(axis=0), _eye(shape[0]), ATOL_STRUCT)
         if not complete:
             raise ValueError("channel is not trace preserving (sum K^+ K != I)")
-        object.__setattr__(self, "kraus", tuple(ks))
+        object.__setattr__(self, "kraus", (ks[0],) if len(ks) == 1 else tuple(ks))
         object.__setattr__(self, "_stack", ks)
 
     @classmethod
@@ -630,7 +640,9 @@ class Measurement:
         validated = _PAULI_MEASUREMENTS.get((cls, axis, key))
         if validated is None:
             validated = _PAULI_MEASUREMENTS[cls, axis, key] = cls.from_basis(kets, key)
-        return copy.copy(validated)
+        shared = object.__new__(cls)  # copy.copy's result, without the cost of its protocol
+        shared.__dict__.update(validated.__dict__)
+        return shared
 
     @classmethod
     def computational(cls, d: int, labels=None) -> "Measurement":
@@ -655,13 +667,34 @@ _PAULI_MEASUREMENTS: dict[tuple, Measurement] = {}
 def _sum_by_label(labels, columns) -> dict:
     """Label -> its outcomes' columns summed in outcome order, from the first (not 0).
 
-    Both distributions below add through here, so a single state's
-    probabilities are the stack's bit for bit.
+    ``_outcome_sums`` adds one density's Python floats in this order, so a
+    small stack's probabilities are a large one's bit for bit.
     """
     agg = {}
     for label, column in zip(labels, columns):
         agg[label] = agg[label] + column if label in agg else column
     return agg
+
+
+def _outcome_sums(m: Measurement, products: np.ndarray) -> list[dict]:
+    """Label -> probability per density, on Python floats, from the stack (n, o, d, d) of products P_i rho, d <= 3.
+
+    Summed as ``_traces`` and ``_sum_by_label`` sum; the check of
+    ``outcome_probabilities`` runs, with its message.
+    """
+    sums = []
+    for outcomes in products.diagonal(0, -2, -1).real.tolist():
+        agg = {}
+        for label, diagonal in zip(m.outcome_labels, outcomes):
+            tr = 0.0
+            for x in diagonal:
+                tr += x
+            agg[label] = agg[label] + tr if label in agg else tr
+        total = functools.reduce(operator.add, agg.values())
+        if not abs(total - 1.0) <= ATOL_STRUCT:
+            raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+        sums.append(agg)
+    return sums
 
 
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
@@ -670,12 +703,16 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     Every outcome's trace tr(P_i rho) is the trace of a product taken once
     per density.  Below ``_SHARED_FACTOR_MIN`` densities it is P_i rho, from
     one broadcast product of the measurement's projector stack with the
-    density stack; from there on it is rho^T P_i^T, whose diagonal is the
-    same sums of the same products: one product of the rows of every rho^T
-    with P_i^T per projector (``_times``).  One check runs, once per
+    density stack, summed on Python floats for d = 2 and 3
+    (``_outcome_sums``); from there on it is rho^T P_i^T, whose diagonal is
+    the same sums of the same products: one product of the rows of every
+    rho^T with P_i^T per projector (``_times``).  One check runs, once per
     density: the probabilities sum to 1.
     """
     if len(rhos) < _SHARED_FACTOR_MIN:
+        if rhos.shape[-1] in (2, 3):
+            sums = _outcome_sums(m, m._stack @ rhos[:, None])
+            return {label: np.array([agg[label] for agg in sums]) for label in dict.fromkeys(m.outcome_labels)}
         columns = _traces(m._stack @ rhos[:, None]).T
     else:
         rows = np.ascontiguousarray(rhos.swapaxes(-1, -2))
@@ -691,32 +728,21 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
 def outcome_distribution(m: Measurement, s: State) -> list[tuple[int, float]]:
     """Sorted (label, probability) pairs, outcomes sharing a label summed.
 
-    ``outcome_probabilities`` for one state, bit for bit; any d but 2 and 3
-    goes to it.  For d = 2 and 3 the traces come from one product of the
-    projector stack with the density, summed as numpy sums (see
-    ``_check_density``) and per label on Python floats; the same check
-    runs, with the same message: the probabilities sum to 1.
+    ``outcome_probabilities`` for one state, bit for bit, with the same
+    check and message: the probabilities sum to 1.  For d = 2 and 3 they
+    are its Python floats (``_outcome_sums``).
     """
     if m.dim != s.dim:
         raise ValueError(f"dimension mismatch: measurement {m.dim}, state {s.dim}")
-    if s.dim not in (2, 3):
-        probs = outcome_probabilities(m, s.density[None])
-        return sorted((label, float(p[0])) for label, p in probs.items())
-    traces = []
-    for diagonal in (m._stack @ s.density).diagonal(0, -2, -1).tolist():
-        tr = 0.0
-        for z in diagonal:
-            tr += z.real
-        traces.append(tr)
-    agg = _sum_by_label(m.outcome_labels, traces)
-    total = functools.reduce(operator.add, agg.values())
-    if not abs(total - 1.0) <= ATOL_STRUCT:
-        raise ValueError(f"outcome probabilities sum to {total}, expected 1")
-    return sorted(agg.items())
+    if s.dim in (2, 3):
+        return sorted(_outcome_sums(m, (m._stack @ s.density)[None])[0].items())
+    probs = outcome_probabilities(m, s.density[None])
+    return sorted((label, float(p[0])) for label, p in probs.items())
 
 
 def shift_gate(d: int) -> np.ndarray:
-    """Generalized Pauli X: cyclic increment |i> -> |i+1 mod d>."""
+    """Generalized Pauli X: cyclic increment |i> -> |i+1 mod d>; d is an integer (numpy's too)."""
+    d = _dimension(d)
     g = np.zeros((d, d), dtype=complex)
     for i in range(d):
         g[(i + 1) % d, i] = 1.0

@@ -91,6 +91,18 @@ def test_evaluate_chsh_rejects_gates_that_are_not_2x2():
             )
 
 
+def test_evaluate_chsh_names_ragged_and_non_numeric_gates_as_not_2x2():
+    # The gates are stacked by one np.array call; whatever it cannot stack
+    # is reported as the shape check reports it.
+    cs = chsh_lift.lift(optimal_unitary_strategy())
+    for bad in ([[1, 0], [0]], None, "gate", [[q.I2, q.I2]], np.eye(2)[None]):
+        with pytest.raises(ValueError, match="^local gates must be 2x2$"):
+            chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates={**cs.alice_gates, 1: bad},
+                                                           bob_gates=cs.bob_gates))
+    report = chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates={}, bob_gates={}))
+    assert report.per_input == {} and report.joint_table == {}
+
+
 def test_evaluate_chsh_without_input_pairs_is_empty():
     report = chsh_lift.evaluate_chsh(chsh_lift.ChshStrategy(alice_gates={0: q.I2}, bob_gates={}))
     assert report.per_input == {} and report.joint_table == {}

@@ -222,6 +222,30 @@ def test_unitary_stack_kernel_has_the_broadcast_bits_with_and_without_a_play_axi
                     assert _bits(stacked[pair][i]) == _bits(values)
 
 
+def test_one_play_has_the_bits_it_has_inside_a_stack_of_sixteen():
+    # One play's densities are checked and summed on Python scalars, sixteen
+    # plays' on numpy (the size rule, _SHARED_FACTOR_MIN): both give each
+    # per-input value the same bits.
+    rng = np.random.default_rng(207)
+    for spec, measurement in ((game.GameSpec(2), q.Measurement.pauli("x")),
+                              (game.GameSpec(2), q.Measurement.pauli("z", (1, 1))),
+                              (game.GameSpec(3), q.Measurement.fourier(3)),
+                              (game.GameSpec(3), q.Measurement.fourier(3, (2, 0, 2)))):
+        d = measurement.dim
+        initial = q.projector(q.plus_ket(d))
+        a_stack = q.random_unitary(d, rng, (16, spec.q))
+        b_stack = q.random_unitary(d, rng, (16, spec.q, 1))
+        stacked = game.evaluate_unitary_stack(spec, initial, a_stack, b_stack, measurement)
+        for i in range(16):
+            alone = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
+            in_a_stack_of_one = game.evaluate_unitary_stack(spec, initial, a_stack[i:i + 1], b_stack[i:i + 1],
+                                                            measurement)
+            for pair, values in stacked.items():
+                expected = [values[i, 0].hex()]
+                assert [p.hex() for p in alone[pair].tolist()] == expected
+                assert [p.hex() for p in in_a_stack_of_one[pair][0].tolist()] == expected
+
+
 def test_unitary_stack_kernel_checks_every_density():
     spec, s = game.GameSpec(2), optimal_unitary_strategy()
     a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])

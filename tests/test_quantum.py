@@ -65,9 +65,11 @@ def test_basis_ket_reads_its_index_as_an_integer():
 
 
 def test_builders_read_their_dimension_as_an_integer():
-    # plus_ket(2.0) and Measurement.fourier(3.0) once raised TypeError from numpy or range().
+    # plus_ket(2.0), Measurement.fourier(3.0), random_unitary(2.0, rng),
+    # fourier_ket(2.0, 0) and shift_gate(2.0) once raised TypeError from numpy or range().
     builders = (lambda d: q.basis_ket(d, 0), q.plus_ket, q.qudit_gates, q.Measurement.computational,
-                q.Measurement.fourier)
+                q.Measurement.fourier, lambda d: q.random_unitary(d, np.random.default_rng(0)),
+                lambda d: q.fourier_ket(d, 0), q.shift_gate)
     for build in builders:
         for bad in (2.0, np.float64(3.0), "3", None):
             with pytest.raises(ValueError) as raised:
@@ -78,6 +80,10 @@ def test_builders_read_their_dimension_as_an_integer():
     assert q.Measurement.fourier(np.int64(3))._stack.tobytes() == q.Measurement.fourier(3)._stack.tobytes()
     assert q.Measurement.computational(np.int64(2)).dim == 2
     assert list(q.qudit_gates(np.int64(3))) == list(q.qudit_gates(3))
+    assert q.random_unitary(np.int64(3), np.random.default_rng(5), (2,)).tobytes() \
+        == q.random_unitary(3, np.random.default_rng(5), (2,)).tobytes()
+    assert q.fourier_ket(np.int64(3), 2).tobytes() == q.fourier_ket(3, 2).tobytes()
+    assert q.shift_gate(np.int64(3)).tobytes() == q.shift_gate(3).tobytes()
 
 
 def test_erase_probability_is_read_by_the_real_number_reader():
@@ -127,6 +133,28 @@ def test_shared_right_factor_product_has_the_broadcast_bits():
             broadcast = _bits(m @ factor)
             assert _bits((m.reshape(-1, d) @ factor).reshape(m.shape)) == broadcast
             assert _bits(q._times(m, factor)) == broadcast
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_traces_have_the_bits_of_numpys_reduce():
+    # Up to d = 3 the real parts are added elementwise from 0.0, which gives
+    # the reduce's bits; from d = 4 on the reduce adds in another order, so
+    # it is still taken there.
+    rng = np.random.default_rng(30)
+    specials = np.array([-0.0, 0.0, 1e300, -1e300, 1.7e308, -1.7e308, 1e-300])
+    for d in (2, 3, 4):
+        for n in (1, 2, 15, 16, 4004):
+            parts = rng.normal(size=(2, n, d, d)) * 10.0 ** rng.integers(-8, 9, size=(2, n, d, d))
+            special = rng.random(size=parts.shape) < 0.3
+            parts[special] = rng.choice(specials, size=np.count_nonzero(special))
+            m = (parts[0] + 1j * parts[1]) @ np.eye(d)  # a stack as a product leaves it
+            reduce = m.diagonal(0, -2, -1).sum(-1).real
+            assert _bits(q._traces(m)) == _bits(reduce)
+            if d == 4 and n == 4004:
+                elementwise = 0.0
+                for i in range(d):
+                    elementwise = elementwise + m.diagonal(0, -2, -1)[..., i].real
+                assert _bits(elementwise) != _bits(reduce)
 
 
 def test_outcome_traces_of_large_stacks_have_the_broadcast_bits():
@@ -540,6 +568,64 @@ def test_qubit_state_checks_decide_as_the_stack_check():
         kinds.add(_kind(single))
     assert kinds == {None, "density matrix is not Hermitian", "trace",
                      "density matrix is not positive semidefinite"}
+
+
+def test_small_stacks_are_checked_on_scalars_and_decide_as_the_vectorized_check(monkeypatch):
+    # Below _SHARED_FACTOR_MIN densities of dimension 2 or 3 the stack check
+    # runs on Python scalars, from there on on numpy; both must decide every
+    # stack alike, message for message, whichever member fails which check.
+    def outcome(rhos, size_rule):
+        monkeypatch.setattr(q, "_SHARED_FACTOR_MIN", size_rule)
+        return _outcome(q.check_density_stack, rhos)
+
+    rng = np.random.default_rng(1521)
+    offsets = _offsets_near_the_hermitian_bound(rng)
+    for d, densities in ((2, _qubit_densities_to_check(rng)), (3, _qutrit_densities_to_check(rng)),
+                         (2, [r for r in offsets if r.shape == (2, 2)]), (3, [r for r in offsets if r.shape == (3, 3)])):
+        for n in (1, 2, 15, 16):
+            kinds = set()
+            # Runs of the list (valid densities first, then each kind of failure) and random draws from it.
+            stacks = [densities[i:i + n] for i in range(0, len(densities) - n + 1, n)]
+            stacks += [[densities[i] for i in rng.choice(len(densities), n)] for _ in range(len(stacks))]
+            for members in stacks:
+                rhos = np.stack(members)
+                expected = outcome(rhos, 0)  # always vectorized
+                assert outcome(rhos, 10 ** 9) == expected, rhos  # always on scalars
+                assert outcome(rhos, 16) == expected, rhos  # the size rule
+                kinds.add(_kind(expected))
+            assert None in kinds and "density matrix is not Hermitian" in kinds
+            if d == 2 and len(densities) > 1000 or d == 3 and len(densities) > 2000:  # not the offsets alone
+                assert {"trace", "density matrix is not positive semidefinite"} <= kinds
+    # Across densities the checks run in order: every Hermitian test, then every trace, then PSD.
+    valid, skew = np.eye(2, dtype=complex) / 2, np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+    negative, off_trace = np.diag([1.5, -0.5]).astype(complex), np.diag([0.7, 0.7]).astype(complex)
+    for members, message in (((negative, off_trace, skew), "density matrix is not Hermitian"),
+                             ((negative, 1.1 * valid, off_trace), "density matrix trace is 1.1, expected 1"),
+                             ((valid, negative), "density matrix is not positive semidefinite")):
+        for n in (len(members), 16):
+            rhos = np.stack(list(members) + [valid] * (n - len(members)))
+            for size_rule in (0, 10 ** 9, 16):
+                assert outcome(rhos, size_rule) == (ValueError, message)
+
+
+def test_outcome_sums_name_the_first_failing_density_on_both_sides_of_the_size_rule(monkeypatch):
+    # Below _SHARED_FACTOR_MIN the outcome traces are summed on Python floats,
+    # from there on on numpy; both give the same probabilities and name the
+    # first density whose probabilities do not sum to 1.
+    for m in (q.Measurement.computational(2), q.Measurement.computational(3, (2, 0, 2))):
+        valid = q.projector(q.basis_ket(m.dim, m.dim - 1))
+        for n in (1, 2, 15, 16):
+            for members, message in (([valid] * n, None),
+                                     ([valid] * (n - 1) + [1.5 * valid], "outcome probabilities sum to 1.5, expected 1"),
+                                     ([0.25 * valid] + [3 * valid] * (n - 1),
+                                      "outcome probabilities sum to 0.25, expected 1")):
+                rhos, probs = np.stack(members), []
+                for size_rule in (0, 10 ** 9, 16):
+                    monkeypatch.setattr(q, "_SHARED_FACTOR_MIN", size_rule)
+                    assert _outcome(q.outcome_probabilities, m, rhos) == (message and (ValueError, message))
+                    if message is None:
+                        probs.append({label: _bits(p) for label, p in q.outcome_probabilities(m, rhos).items()})
+                assert probs == probs[:1] * len(probs)
 
 
 def test_qubit_state_reports_an_overflowing_modulus_as_not_psd():

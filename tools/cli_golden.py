@@ -55,8 +55,11 @@ COMMANDS = [
     *(({}, ["verify-lemma1", "--n-random", "5", *tol, "--format", f])
       for tol in ([], ["--tol", "1e-16"]) for f in ("json", "text")),
     ({"CHSHSTAR_SEED": "777"}, ["verify-lemma1", "--n-random", "3", "--format", "json"]),
-    # The lift at the batch size of the benchmark's value table, and across
-    # the chunks the batch is drawn and checked in.
+    # The lift on both sides of the kernel's size rule (one and two plays,
+    # 6 and 12 densities, are checked on scalars; the three plays above and
+    # more, vectorized), at the batch size of the benchmark's value table,
+    # and across the chunks the batch is drawn and checked in.
+    *(({}, ["verify-lemma1", "--n-random", n, "--seed", "5", "--format", "json"]) for n in ("1", "2")),
     ({}, ["verify-lemma1", "--n-random", "200", "--seed", "5", "--format", "json"]),
     ({}, ["verify-lemma1", "--n-random", "600", "--seed", "12345", "--format", "json"]),
     *(({}, ["sweep-epsilon", "--steps", "9", "--format", f]) for f in ("json", "csv", "text")),
