@@ -99,6 +99,7 @@ _BELL_PAIR = bell_pair_ket()
 _X_KETS = np.stack([_PAULI_KETS["x+"], _PAULI_KETS["x-"]])
 # The projector stack that every ``Measurement.pauli("x")`` shares.
 _X_PROJECTORS = Measurement.pauli("x")._stack
+_PLUS_ENTRIES = _X_PROJECTORS[0].ravel().tolist()  # |+><+|; abs() of a Python complex is libm's hypot, as in _close
 # Column 2x + y is the bra <x|<y| of both players' X outcomes, x, y = 0 for
 # |+> and 1 for |->.
 _OUTCOME_BRAS = (_X_KETS[:, None, :, None] * _X_KETS[None, :, None, :]).reshape(4, 4).conj().T
@@ -111,7 +112,7 @@ def _require_normal_form(s: game.Strategy) -> None:
         for k, ch in gates.items():
             if not ch.is_unitary_channel():
                 raise ValueError(f"{name}_{k} is not a single-Kraus unitary channel")
-    if not _close(s.initial.density, _X_PROJECTORS[0], ATOL_STRUCT):
+    if not all(abs(x - p) <= ATOL_STRUCT for x, p in zip(s.initial.density.ravel().tolist(), _PLUS_ENTRIES)):
         raise ValueError("normal form requires the initial state |+>")
     if s.measurement.outcome_labels != (0, 1) or (
         s.measurement._stack is not _X_PROJECTORS and not _close(s.measurement._stack, _X_PROJECTORS, ATOL_STRUCT)
@@ -208,7 +209,7 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     gates = np.concatenate([s.a_gates[0]._stack, s.a_gates[1]._stack, s.b_gates[0]._stack, s.b_gates[1]._stack])
     single = game.evaluate_unitary_stack(_QUBIT_GAME, s.initial.density, gates[:2], gates[2:, None], s.measurement)
     lifted = evaluate_chsh(cs).per_input
-    max_dev = max(abs(float(single[k][0]) - lifted[k]) for k in single)
+    max_dev = max(abs(p - lifted[pair]) for pair, p in zip(_QUBIT_GAME._pairs, single.ravel().tolist()))
     return max_dev <= tol, max_dev
 
 
@@ -230,5 +231,4 @@ def max_deviation(gates: np.ndarray) -> float:
         _QUBIT_GAME, _plus_state().density, a_gates, b_gates[:, :, None], Measurement.pauli("x"))
     inputs, _, odd = _chsh_tables(_QUBIT_GAME.input_alphabet, _QUBIT_GAME.input_alphabet)
     lifted = _lifted_wins(_joint_squares(a_gates.swapaxes(-1, -2), b_gates), inputs, odd)
-    single = np.stack([single[pair][:, 0] for pair in inputs], axis=1).ravel().tolist()
-    return max(abs(p - r) for p, r in zip(single, lifted))
+    return max(abs(p - r) for p, r in zip(single[..., 0].T.ravel().tolist(), lifted))

@@ -22,6 +22,7 @@ from .quantum import (
     _dagger_stack,
     _integer,
     _integers,
+    _outcome_sums,
     _times,
     apply_channel,
     basis_ket,
@@ -141,25 +142,25 @@ def evaluate_unitary_stack(
     a_stack: np.ndarray,
     b_stack: np.ndarray,
     measurement: Measurement,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Exact win probabilities of stacked unitary plays at once, per input pair.
+) -> np.ndarray:
+    """Exact win probabilities of stacked unitary plays at once, one row per input pair.
 
     ``a_stack`` (..., q, d, d) holds A_a for a = 0..q-1 and ``b_stack``
     (..., q, k, d, d) holds k choices of B_b, both with the same leading
     play axes (none, or one of n plays).  Play (i, j) starts from the
     density ``initial``, applies A_a of play i, then ``b_stack[i, b, j]``,
-    and measures ``measurement``.  Returns (a, b) -> the win probabilities,
-    of shape (..., k), in ``input_pairs`` order (empty arrays when k = 0).
+    and measures ``measurement``.  Returns one float array (q * q, ..., k),
+    whose row r holds input pair ``spec.input_pairs()[r]``.
 
     Every density is U rho U^+ for one unitary U, as ``apply_channel`` takes
-    it, and every trace is ``outcome_probabilities``', so each value equals
-    ``evaluate``'s for the same play.  A factor that many matrices share is
-    taken once, as one product of their rows (``quantum._times``): rho_0 in
-    A_a rho_0 (shared by every A gate of every play) and rho_a in B rho_a
-    (shared by the q k B gates of a play, once there are
-    ``_SHARED_FACTOR_MIN`` of them); every product with a factor of its own
-    (A_a^+, B^+, and B rho_a below that count) is numpy's broadcast matmul.
-    Both forms give every entry the same bits.
+    it, and every trace has the bits of ``outcome_probabilities``' (below
+    ``_SHARED_FACTOR_MIN`` densities, ``_outcome_sums``' floats), so each value
+    equals ``evaluate``'s.  A factor that many matrices share is taken once, as
+    one product of their rows (``quantum._times``): rho_0 in A_a rho_0 (shared
+    by every A gate of every play) and rho_a in B rho_a (shared by the q k B
+    gates of a play, once there are ``_SHARED_FACTOR_MIN`` of them); every
+    product with a factor of its own (A_a^+, B^+, and B rho_a below that count)
+    is numpy's broadcast matmul.  Both forms give every entry the same bits.
 
     The gates are not checked here; callers pass validated unitaries.  The
     states are, each check once: the q densities after A of every play and
@@ -183,10 +184,12 @@ def evaluate_unitary_stack(
                           for rhos in shared]).reshape((q, q) + lead + (k, d, d))
     rhos = (b_rho @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
     check_density_stack(np.concatenate((rho_a.reshape(-1, d, d), rhos)))
-    per_label = {label: p.reshape((q * q,) + lead + (k,))
-                 for label, p in outcome_probabilities(measurement, rhos).items()}
-    return {pair: per_label[answer][i] if answer in per_label else np.zeros(lead + (k,))
-            for i, (pair, answer) in enumerate(zip(spec._pairs, spec._answers))}
+    shape = (q * q,) + lead + (k,)
+    if len(rhos) < _SHARED_FACTOR_MIN and d in (2, 3):  # density r is one of input pair r q q // n
+        sums = _outcome_sums(measurement, measurement._stack @ rhos[:, None])
+        return np.array([p.get(spec._answers[r * q * q // len(sums)], 0.0) for r, p in enumerate(sums)]).reshape(shape)
+    per_label = {label: p.reshape(shape) for label, p in outcome_probabilities(measurement, rhos).items()}
+    return np.array([per_label[a][i] if a in per_label else np.zeros(shape[1:]) for i, a in enumerate(spec._answers)])
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:

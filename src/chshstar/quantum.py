@@ -16,9 +16,11 @@ One size rule, ``_SHARED_FACTOR_MIN`` (16), picks the path: fewer densities
 of dimension 2 or 3 (a ``State``'s is a stack of one) are checked, and their
 outcome traces summed, on the scalars of one ``tolist()``, as is one 2x2 or
 3x3 Kraus operator, since numpy's fixed cost per call is most of such a
-check.  A trace of dimension 3 or less is elementwise adds from 0.0, bit for
-bit numpy's reduce, which on a short axis runs several times slower after a
-matmul.
+check; ``game.evaluate_unitary_stack`` puts those floats in its one array, a
+row per input pair.  A stack of unitaries is checked by an elementwise Gram
+sum, not by a matmul's BLAS call per matrix.  A trace of dimension 3 or less
+is elementwise adds from 0.0, bit for bit numpy's reduce, which on a short
+axis runs several times slower after a matmul.
 ``apply_channel`` applies one Kraus operator without stacking it.  A
 factor that many matrices of a stack share is taken as one product of the
 stack's rows (``_times``), with the bits of numpy's broadcast product.
@@ -263,13 +265,14 @@ def _eye(d: int, dtype=complex) -> np.ndarray:
     return _read_only(np.eye(d, dtype=dtype))
 
 
-def _all_unitary(us: np.ndarray) -> bool:
-    return _close(_dagger_stack(us) @ us, _eye(us.shape[-1]), ATOL_STRUCT)
-
-
 def check_unitary_stack(us: np.ndarray) -> None:
-    """Raise unless every matrix of the stack is unitary (U^+ U = I)."""
-    if not _all_unitary(us):
+    """Raise unless every matrix of the stack is unitary (U^+ U = I).
+
+    Sums U^+ U elementwise in k order, not by BLAS (an entry may be an ulp off a matmul's); inf and NaN fail quietly.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(us[..., k, :, None].conj() * us[..., k, None, :] for k in range(us.shape[-1]))
+    if not _close(gram, _eye(us.shape[-1]), ATOL_STRUCT):
         raise ValueError("matrix is not unitary")
 
 
@@ -703,16 +706,13 @@ def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndar
     Every outcome's trace tr(P_i rho) is the trace of a product taken once
     per density.  Below ``_SHARED_FACTOR_MIN`` densities it is P_i rho, from
     one broadcast product of the measurement's projector stack with the
-    density stack, summed on Python floats for d = 2 and 3
-    (``_outcome_sums``); from there on it is rho^T P_i^T, whose diagonal is
-    the same sums of the same products: one product of the rows of every
-    rho^T with P_i^T per projector (``_times``).  One check runs, once per
-    density: the probabilities sum to 1.
+    density stack; from there on it is rho^T P_i^T, whose diagonal is the
+    same sums of the same products: one product of the rows of every rho^T
+    with P_i^T per projector (``_times``).  Either way the probabilities
+    have the bits of ``_outcome_sums``'s Python floats.  One check runs,
+    once per density: the probabilities sum to 1.
     """
     if len(rhos) < _SHARED_FACTOR_MIN:
-        if rhos.shape[-1] in (2, 3):
-            sums = _outcome_sums(m, m._stack @ rhos[:, None])
-            return {label: np.array([agg[label] for agg in sums]) for label in dict.fromkeys(m.outcome_labels)}
         columns = _traces(m._stack @ rhos[:, None]).T
     else:
         rows = np.ascontiguousarray(rhos.swapaxes(-1, -2))

@@ -155,15 +155,25 @@ def irreversible_strategy() -> game.Strategy:
 _EPSILON_NOT_REAL = "epsilon must be a real number, got {!r}"
 
 
-def _check_epsilon(epsilon) -> None:
-    _real(epsilon, _EPSILON_NOT_REAL)
-    if not 0 < epsilon < np.pi / 2:
-        raise ValueError(f"epsilon {epsilon} outside the open interval (0, pi/2)")
+def _checked_epsilons(eps_list: list) -> np.ndarray:
+    """The epsilons as one array; each is real, then inside (0, pi/2), and the first bad one is named."""
+    for i, eps in enumerate(eps_list):
+        try:
+            _real(eps, _EPSILON_NOT_REAL)
+        except ValueError:
+            _checked_epsilons(eps_list[:i])  # the interval is decided for the points before it first
+            raise
+    values = np.array(eps_list)  # float64 for floats; an object array, compared exactly, for an int beyond it
+    with np.errstate(invalid="ignore"):  # a NaN among objects
+        inside = (values > 0) & (values < np.pi / 2)
+    if not inside.all():
+        raise ValueError(f"epsilon {eps_list[inside.argmin()]} outside the open interval (0, pi/2)")
+    return values
 
 
 def rz_pair_strategy(epsilon: float) -> game.Strategy:
     """The optimal play with T replaced by rz(epsilon), T^+ by rz(epsilon)^+."""
-    _check_epsilon(epsilon)
+    _checked_epsilons([epsilon])
     return normal_form(I2, S, rz(epsilon).conj().T, rz(epsilon))
 
 
@@ -606,24 +616,21 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     outcome distribution sums to 1.
     """
     eps_list = list(eps_grid)
-    for eps in eps_list:
-        _check_epsilon(eps)
-    if not eps_list:
-        return []
+    values = _checked_epsilons(eps_list)
     spec = game.GameSpec(2)
     strategy = optimal_unitary_strategy()
-    rz_stack = rz(eps_list)
+    rz_stack = rz(values)
     b_stack = np.stack([rz_stack.conj().transpose(0, 2, 1), rz_stack])
     check_unitary_stack(b_stack.reshape(-1, 2, 2))
-    per_input = game.evaluate_unitary_stack(
+    wins = game.evaluate_unitary_stack(
         spec,
         strategy.initial.density,
         np.concatenate([strategy.a_gates[a]._stack for a in spec.input_alphabet]),
         b_stack,
         strategy.measurement,
     )
-    p_circuit = (sum(per_input.values()) / len(per_input)).tolist()
-    p_formula = success_probability_formula(eps_list).tolist()
+    p_circuit = (sum(wins) / len(wins)).tolist()  # the rows added from 0 in input-pair order
+    p_formula = success_probability_formula(values).tolist()
     return [(float(eps), pf, pc) for eps, pf, pc in zip(eps_list, p_formula, p_circuit)]
 
 

@@ -1,5 +1,8 @@
 """Single-system to two-player lift and its per-input equivalence."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -209,8 +212,7 @@ def test_max_deviation_has_the_bits_of_each_plays_check():
     for i, play in enumerate(gates):
         s = chsh_lift.normal_form(*play)
         report = game.evaluate(chsh_lift._QUBIT_GAME, s)
-        assert [single[pair][i, 0].hex() for pair in report.per_input] == \
-            [p.hex() for p in report.per_input.values()]
+        assert [p.hex() for p in single[:, i, 0].tolist()] == [p.hex() for p in report.per_input.values()]
         joint = chsh_lift.evaluate_chsh(chsh_lift.lift(s)).joint_table
         assert [p.hex() for p in squares[16 * i:16 * (i + 1)]] == [p.hex() for p in joint.values()]
         deviations.append(chsh_lift.verify_equivalence(s)[1])
@@ -270,6 +272,40 @@ def test_verify_equivalence_equals_the_check_through_evaluate():
             result = chsh_lift.verify_equivalence(s, tol=tol)
             assert result == _verify_through_evaluate(s, tol=tol)
             assert type(result[1]) is float
+
+
+def test_verify_equivalence_compares_by_input_pair_with_an_extra_gate_key():
+    # evaluate_chsh lifts every gate key, so an extra A_2 adds input pairs
+    # after the game's four and an extra B_2 moves (1, 0) and (1, 1) to
+    # later positions; each of the four is still compared with its own pair.
+    rng = np.random.default_rng(3030)
+    for extra in ("a_gates", "b_gates"):
+        s = chsh_lift.random_normal_form(rng)
+        gates = {**getattr(s, extra), 2: q.Channel.unitary(q.random_unitary(2, rng))}
+        s = dataclasses.replace(s, **{extra: gates})
+        ok, deviation = chsh_lift.verify_equivalence(s)
+        expected_ok, expected = _verify_through_evaluate(s)
+        assert (ok, deviation.hex()) == (expected_ok, expected.hex())
+        assert ok
+
+
+def test_verify_equivalence_reaches_lift_and_evaluate_chsh_through_the_module(monkeypatch):
+    # perfbench's trace replaces module attributes by timing wrappers and
+    # takes the medians of the chsh_lift.lift and chsh_lift.evaluate_chsh
+    # spans, so each verify_equivalence call must reach both through them.
+    calls = {"lift": 0, "evaluate_chsh": 0}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(chsh_lift, name, counted(name, getattr(chsh_lift, name)))
+    assert chsh_lift.verify_equivalence(optimal_unitary_strategy())[0]
+    assert calls == {"lift": 1, "evaluate_chsh": 1}
 
 
 def _bad_strategies():

@@ -162,10 +162,9 @@ def test_unitary_stack_kernel_equals_evaluate():
     cases += [(q2, random_normal_form(rng)) for _ in range(300)]
     for spec, s in cases:
         expected = game.evaluate(spec, s).per_input
-        per_input = _kernel(spec, s)
-        assert list(per_input) == spec.input_pairs()
-        for key, p in per_input.items():
-            assert p.shape == (1,)
+        wins = _kernel(spec, s)
+        assert wins.shape == (spec.q * spec.q, 1)
+        for key, p in zip(spec.input_pairs(), wins):
             assert p[0] == expected[key]
 
 
@@ -174,11 +173,11 @@ def test_unitary_stack_kernel_evaluates_each_stacked_play():
     spec = game.GameSpec(2)
     a0, a1 = q.random_unitary(2, rng), q.random_unitary(2, rng)
     plays = [[q.random_unitary(2, rng) for _ in range(2)] for _ in range(7)]
-    per_input = _kernel(spec, normal_form(a0, a1, *plays[0]), b_plays=plays)
+    wins = _kernel(spec, normal_form(a0, a1, *plays[0]), b_plays=plays)
+    assert wins.shape == (4, len(plays))
     for j, (b0, b1) in enumerate(plays):
         expected = game.evaluate(spec, normal_form(a0, a1, b0, b1)).per_input
-        for key, p in per_input.items():
-            assert p.shape == (len(plays),)
+        for key, p in zip(spec.input_pairs(), wins):
             assert p[j] == expected[key]
 
 
@@ -212,14 +211,14 @@ def test_unitary_stack_kernel_has_the_broadcast_bits_with_and_without_a_play_axi
             a_stack = q.random_unitary(d, rng, (9, spec.q))
             b_stack = q.random_unitary(d, rng, (9, spec.q, k))
             stacked = game.evaluate_unitary_stack(spec, initial, a_stack, b_stack, measurement)
-            assert list(stacked) == spec.input_pairs()
+            assert stacked.shape == (spec.q * spec.q, 9, k)
             for i in range(9):
                 expected = _broadcast_kernel(spec, initial, a_stack[i], b_stack[i], measurement)
                 single = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
-                for pair, values in expected.items():
-                    assert stacked[pair].shape == (9, k) and single[pair].shape == (k,)
-                    assert _bits(single[pair]) == _bits(values)
-                    assert _bits(stacked[pair][i]) == _bits(values)
+                assert list(expected) == spec.input_pairs() and single.shape == (spec.q * spec.q, k)
+                for r, values in enumerate(expected.values()):
+                    assert _bits(single[r]) == _bits(values)
+                    assert _bits(stacked[r, i]) == _bits(values)
 
 
 def test_one_play_has_the_bits_it_has_inside_a_stack_of_sixteen():
@@ -240,10 +239,10 @@ def test_one_play_has_the_bits_it_has_inside_a_stack_of_sixteen():
             alone = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
             in_a_stack_of_one = game.evaluate_unitary_stack(spec, initial, a_stack[i:i + 1], b_stack[i:i + 1],
                                                             measurement)
-            for pair, values in stacked.items():
+            for r, values in enumerate(stacked):
                 expected = [values[i, 0].hex()]
-                assert [p.hex() for p in alone[pair].tolist()] == expected
-                assert [p.hex() for p in in_a_stack_of_one[pair][0].tolist()] == expected
+                assert [p.hex() for p in alone[r].tolist()] == expected
+                assert [p.hex() for p in in_a_stack_of_one[r, 0].tolist()] == expected
 
 
 def test_unitary_stack_kernel_checks_every_density():
@@ -270,13 +269,39 @@ def test_unitary_stack_kernel_rejects_stacks_that_do_not_fit_the_game():
 
 
 def test_unitary_stack_kernel_with_no_plays_returns_empty_arrays():
+    # k = 0: one empty row per input pair, with and without a play axis.
     for spec, s in ((game.GameSpec(2), optimal_unitary_strategy()),
                     (game.GameSpec(3), qutrit_fixed_strategy())):
         a_stack = np.stack([s.a_gates[a].kraus[0] for a in spec.input_alphabet])
         no_plays = np.zeros((spec.q, 0, s.dim, s.dim), dtype=complex)
-        per_input = game.evaluate_unitary_stack(spec, s.initial.density, a_stack, no_plays, s.measurement)
-        assert list(per_input) == spec.input_pairs()
-        assert all(p.shape == (0,) for p in per_input.values())
+        wins = game.evaluate_unitary_stack(spec, s.initial.density, a_stack, no_plays, s.measurement)
+        assert wins.shape == (spec.q * spec.q, 0) and wins.dtype == float
+        wins = game.evaluate_unitary_stack(spec, s.initial.density, np.stack([a_stack] * 5),
+                                           np.stack([no_plays] * 5), s.measurement)
+        assert wins.shape == (spec.q * spec.q, 5, 0) and wins.dtype == float
+
+
+def test_unitary_stack_kernel_rows_follow_the_input_pairs_for_q3():
+    # Random qutrit plays give nine distinct values per play, so a row out of
+    # spec.input_pairs() order shows, on either side of the size rule: one
+    # play of one B choice has 9 final densities, 2 plays of 2 choices 36.
+    rng = np.random.default_rng(30)
+    spec, measurement = game.GameSpec(3), q.Measurement.fourier(3)
+    initial = q.State.from_ket(q.plus_ket(3))
+    a_stack = q.random_unitary(3, rng, (2, 3))
+    b_stack = q.random_unitary(3, rng, (2, 3, 2))
+    one = game.evaluate_unitary_stack(spec, initial.density, a_stack[0], b_stack[0, :, :1], measurement)
+    stacked = game.evaluate_unitary_stack(spec, initial.density, a_stack, b_stack, measurement)
+    assert one.shape == (9, 1) and stacked.shape == (9, 2, 2)
+    for i in range(2):
+        for j in range(2):
+            s = game.Strategy(initial, {a: q.Channel.unitary(a_stack[i, a]) for a in range(3)},
+                              {b: q.Channel.unitary(b_stack[i, b, j]) for b in range(3)}, measurement)
+            expected = game.evaluate(spec, s).per_input
+            assert len(set(expected.values())) == 9
+            assert dict(zip(spec.input_pairs(), stacked[:, i, j].tolist())) == expected
+            if i == j == 0:
+                assert dict(zip(spec.input_pairs(), one[:, 0].tolist())) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core linear algebra, channels and measurements."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -609,9 +610,11 @@ def test_small_stacks_are_checked_on_scalars_and_decide_as_the_vectorized_check(
 
 
 def test_outcome_sums_name_the_first_failing_density_on_both_sides_of_the_size_rule(monkeypatch):
-    # Below _SHARED_FACTOR_MIN the outcome traces are summed on Python floats,
-    # from there on on numpy; both give the same probabilities and name the
-    # first density whose probabilities do not sum to 1.
+    # The unitary kernel sums the outcome traces of fewer than
+    # _SHARED_FACTOR_MIN densities on Python floats (_outcome_sums), and
+    # outcome_probabilities on numpy, by the product form of either side of
+    # the size rule; all give the same probabilities and name the first
+    # density whose probabilities do not sum to 1.
     for m in (q.Measurement.computational(2), q.Measurement.computational(3, (2, 0, 2))):
         valid = q.projector(q.basis_ket(m.dim, m.dim - 1))
         for n in (1, 2, 15, 16):
@@ -620,6 +623,10 @@ def test_outcome_sums_name_the_first_failing_density_on_both_sides_of_the_size_r
                                      ([0.25 * valid] + [3 * valid] * (n - 1),
                                       "outcome probabilities sum to 0.25, expected 1")):
                 rhos, probs = np.stack(members), []
+                assert _outcome(q._outcome_sums, m, m._stack @ rhos[:, None]) == (message and (ValueError, message))
+                if message is None:
+                    sums = q._outcome_sums(m, m._stack @ rhos[:, None])
+                    probs.append({label: _bits([agg[label] for agg in sums]) for label in sums[0]})
                 for size_rule in (0, 10 ** 9, 16):
                     monkeypatch.setattr(q, "_SHARED_FACTOR_MIN", size_rule)
                     assert _outcome(q.outcome_probabilities, m, rhos) == (message and (ValueError, message))
@@ -687,6 +694,46 @@ def test_single_qubit_gram_check_decides_as_the_stack_check():
             decided.add(single is None)
         assert decided == {True, False}
     assert _outcome(q.Channel, (1.001 * us3[0],)) == (ValueError, "channel is not trace preserving (sum K^+ K != I)")
+
+
+def test_unitary_stack_check_decides_as_the_matmul_gram():
+    # check_unitary_stack sums U^+ U elementwise, with no BLAS call; the
+    # reference is the matmul form _dagger_stack(us) @ us.  A Gram entry of
+    # the two may differ by an ulp, so only one within a few roundings of
+    # ATOL_STRUCT may be decided otherwise.
+    rng = np.random.default_rng(3031)
+    eps, not_unitary = np.finfo(float).eps, (ValueError, "matrix is not unitary")
+
+    def reference(us):
+        with np.errstate(all="ignore"):
+            gram = q._dagger_stack(us) @ us
+        return None if q._close(gram, q._eye(us.shape[-1]), q.ATOL_STRUCT) else not_unitary
+
+    for d in (2, 3):
+        for n in (0, 1, 4, 2002):
+            us = q.random_unitary(d, rng, (n,))
+            for factor, expected in ((1.0, None), (1 + 1e-11, None), (1 - 1e-11, None),
+                                     (1 + 1e-9, not_unitary), (1 - 1e-9, not_unitary)):
+                scaled = us * factor
+                assert _outcome(q.check_unitary_stack, scaled) == reference(scaled) == (expected if n else None)
+            for bad in ((np.nan, np.inf, -np.inf, 1e200) if n else ()):
+                broken = us.copy()
+                broken[n // 2, d - 1, 0] = bad
+                assert reference(broken) == not_unitary
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # overflow and NaN fail quietly
+                    with pytest.raises(ValueError, match="^matrix is not unitary$"):
+                        q.check_unitary_stack(broken)
+        # Gram entries stepped across the tolerance an ulp at a time.
+        steps = np.sqrt(1 + q.ATOL_STRUCT) * (1 + np.arange(-20, 21) * eps)
+        decided = set()
+        for u in (q.random_unitary(d, rng, (10,))[:, None] * steps[:, None, None]).reshape(-1, d, d):
+            outcome = _outcome(q.check_unitary_stack, u[None])
+            if outcome != reference(u[None]):
+                deviation = np.abs(u.conj().T @ u - np.eye(d)).max()
+                assert abs(deviation - q.ATOL_STRUCT) <= 2 * eps
+            decided.add(outcome)
+        assert decided == {None, not_unitary}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +574,32 @@ def test_sweep_rejects_out_of_interval():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"epsilon {bad} outside"):
             settings.epsilon_sweep([0.3, bad, 0.5])
+
+
+def test_sweep_names_its_first_bad_point_in_grid_order():
+    # The interval is decided once over the grid, yet the first bad point
+    # raises its own message, whichever check it fails, and without a
+    # warning.  An integer too large for a float is outside, not an
+    # OverflowError.
+    def outside(eps):
+        return f"epsilon {eps} outside the open interval (0, pi/2)"
+
+    for grid, message in (([0.3, 2.0, "0.3"], outside(2.0)),
+                          ([0.3, float("nan"), 0.3 + 0j], outside(float("nan"))),
+                          ([0.3, "0.3", 2.0], "epsilon must be a real number, got '0.3'"),
+                          ([0.3, 10 ** 400, 0.5], outside(10 ** 400)),
+                          ([0.3, -10 ** 400, None], outside(-10 ** 400)),
+                          ([1, Fraction(1, 3), 2 ** 64, 1e-3], outside(2 ** 64)),
+                          ([Fraction(1, 3), float("nan")], outside(float("nan")))):
+        with warnings.catch_warnings(), pytest.raises(ValueError) as raised:
+            warnings.simplefilter("error")
+            settings.epsilon_sweep(grid)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        settings.rz_pair_strategy(10 ** 400)
+    assert str(raised.value) == outside(10 ** 400)
+    assert [row[0] for row in settings.epsilon_sweep([1, Fraction(1, 3), np.float32(0.5)])] == \
+        [1.0, float(Fraction(1, 3)), float(np.float32(0.5))]
 
 
 def test_rz_pair_and_sweep_reject_an_epsilon_that_is_not_real():
