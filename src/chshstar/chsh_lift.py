@@ -12,7 +12,7 @@ than assumed.
 ``verify_equivalence`` makes that check for one strategy and
 ``max_deviation`` for a stack of n normal forms, with the same bits per
 play.  Both take one path per side: the single system through
-``game.evaluate_unitary_stack`` (one play, or a leading axis of n plays),
+``game.evaluate_unitary_stack`` (a play axis of one, or of n plays),
 with every density checked, and the two-player side through the products
 ``evaluate_chsh`` takes (``_joint_squares``), with every joint table checked
 (``_lifted_wins``).
@@ -198,16 +198,17 @@ def verify_equivalence(s: game.Strategy, tol: float = 1e-10) -> tuple[bool, floa
     Returns (largest per-input deviation <= tol, that deviation).  A bad
     strategy raises ``game.evaluate``'s errors first (gates missing for an
     input, labels that are no answer), then ``lift``'s (not the normal
-    form).  The single-system side is ``game.evaluate_unitary_stack`` of one
-    play, whose values equal ``game.evaluate``'s; every density on it is
-    still checked, in one stack check of the two after A and the four final
-    ones, and so are their outcome sums.  ``max_deviation`` is the same
-    check for a stack of plays.
+    form).  The single-system side is ``game.evaluate_unitary_stack`` of a
+    play axis of one, whose values equal ``game.evaluate``'s; every density
+    on it is still checked, in one stack check of the two after A and the
+    four final ones, and so are their outcome sums.  ``max_deviation`` is
+    the same check for a stack of plays.
     """
     game._check_inputs(_QUBIT_GAME, s.a_gates, s.b_gates, s.measurement.outcome_labels)
     cs = lift(s)
     gates = np.concatenate([s.a_gates[0]._stack, s.a_gates[1]._stack, s.b_gates[0]._stack, s.b_gates[1]._stack])
-    single = game.evaluate_unitary_stack(_QUBIT_GAME, s.initial.density, gates[:2], gates[2:, None], s.measurement)
+    single = game.evaluate_unitary_stack(_QUBIT_GAME, s.initial.density, gates[None, :2], gates[None, 2:, None],
+                                         s.measurement)
     lifted = evaluate_chsh(cs).per_input
     max_dev = max(abs(p - lifted[pair]) for pair, p in zip(_QUBIT_GAME._pairs, single.ravel().tolist()))
     return max_dev <= tol, max_dev
@@ -220,8 +221,8 @@ def max_deviation(gates: np.ndarray) -> float:
     ``normal_form(*gates[i])``.  Checks, each once over the whole stack:
     every gate is unitary; every density of the single system (the
     kernel's checks); every lifted joint table sums to 1.  The single
-    system is one ``game.evaluate_unitary_stack`` call with a leading play
-    axis, the lifted plays one ``_joint_squares`` call, so every deviation
+    system is one ``game.evaluate_unitary_stack`` call with n plays on its
+    play axis, the lifted plays one ``_joint_squares`` call, so every deviation
     has the bits of ``verify_equivalence`` of play i, and so has their
     maximum.
     """

@@ -3,7 +3,10 @@
 A single system is prepared, hit by a controlled gate ``A_a`` then ``B_b``
 (inputs a, b drawn uniformly), and measured once; the play wins when the
 measured label equals ``a * b mod q``.  Evaluation is exact (trace formulas),
-never sampled.
+never sampled.  ``evaluate_unitary_stack`` evaluates n unitary plays of k B
+choices each at once; its gate stacks always carry the play axis (one play
+is a play axis of one), and each factor that many matrices share is one
+product of their rows.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def winning_answer(spec: GameSpec, a: int, b: int) -> int:
     """The answer that wins on input (a, b)."""
     if a not in spec.input_alphabet or b not in spec.input_alphabet:
         raise ValueError(f"input ({a}, {b}) outside alphabet {spec.input_alphabet}")
-    return (a * b) % spec.q
+    return spec._answers[spec._pairs.index((a, b))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,24 +146,24 @@ def evaluate_unitary_stack(
     b_stack: np.ndarray,
     measurement: Measurement,
 ) -> np.ndarray:
-    """Exact win probabilities of stacked unitary plays at once, one row per input pair.
+    """Exact win probabilities of n stacked unitary plays at once, one row per input pair.
 
-    ``a_stack`` (..., q, d, d) holds A_a for a = 0..q-1 and ``b_stack``
-    (..., q, k, d, d) holds k choices of B_b, both with the same leading
-    play axes (none, or one of n plays).  Play (i, j) starts from the
-    density ``initial``, applies A_a of play i, then ``b_stack[i, b, j]``,
-    and measures ``measurement``.  Returns one float array (q * q, ..., k),
-    whose row r holds input pair ``spec.input_pairs()[r]``.
+    ``a_stack`` (n, q, d, d) holds each play's A_a for a = 0..q-1 and
+    ``b_stack`` (n, q, k, d, d) its k choices of B_b; one play is a play
+    axis of one (``a[None]``).  Play (i, j) starts from the density
+    ``initial``, applies ``a_stack[i, a]``, then ``b_stack[i, b, j]``, and
+    measures ``measurement``.  Returns one float array (q * q, n, k), whose
+    row r holds input pair ``spec.input_pairs()[r]``.
 
     Every density is U rho U^+ for one unitary U, as ``apply_channel`` takes
     it, and every trace has the bits of ``outcome_probabilities``' (below
-    ``_SHARED_FACTOR_MIN`` densities, ``_outcome_sums``' floats), so each value
-    equals ``evaluate``'s.  A factor that many matrices share is taken once, as
-    one product of their rows (``quantum._times``): rho_0 in A_a rho_0 (shared
-    by every A gate of every play) and rho_a in B rho_a (shared by the q k B
-    gates of a play, once there are ``_SHARED_FACTOR_MIN`` of them); every
-    product with a factor of its own (A_a^+, B^+, and B rho_a below that count)
-    is numpy's broadcast matmul.  Both forms give every entry the same bits.
+    ``_SHARED_FACTOR_MIN`` qubit or qutrit densities, ``_outcome_sums``'
+    floats), so each value equals ``evaluate``'s.  A factor that many
+    matrices share is taken once, as one product of their rows: rho_0 in
+    A_a rho_0 (``quantum._times``) and, per play and A input, rho_a in
+    B rho_a, shared by the play's q k B gates.  A_a^+ and B^+ are each one
+    matrix's own factor, numpy's broadcast matmul.  Either form gives every
+    entry the bits of the matrix's product alone.
 
     The gates are not checked here; callers pass validated unitaries.  The
     states are, each check once: the q densities after A of every play and
@@ -169,27 +172,20 @@ def evaluate_unitary_stack(
     distribution sums to 1.
     """
     q, d = spec.q, initial.shape[0]
-    lead = a_stack.shape[:-3]
-    k = b_stack.shape[-3] if b_stack.ndim > 2 else -1
-    if len(lead) > 1 or a_stack.shape[-3:] != (q, d, d) or b_stack.shape != lead + (q, k, d, d):
+    n = a_stack.shape[0] if a_stack.ndim == 4 else -1
+    k = b_stack.shape[2] if b_stack.ndim == 5 else -1
+    if a_stack.shape != (n, q, d, d) or b_stack.shape != (n, q, k, d, d):
         raise ValueError(f"gate stacks {a_stack.shape}, {b_stack.shape} do not fit q={q}, d={d}")
-    if lead:  # input axes first, so that each input pair's densities are one run
-        a_stack, b_stack = a_stack.swapaxes(0, 1), b_stack.swapaxes(0, 1)
     rho_a = _times(a_stack, initial) @ _dagger_stack(a_stack)
-    if q * k < _SHARED_FACTOR_MIN:
-        b_rho = b_stack[None] @ rho_a[:, None, ..., None, :, :]
-    else:  # play i's rho_a[a, i] is shared by its q k B gates b_stack[:, i]
-        plays, shared = b_stack.reshape(q, -1, k, d, d), rho_a.reshape(q, -1, d, d)
-        b_rho = np.array([np.stack([_times(plays[:, i], rho) for i, rho in enumerate(rhos)], axis=1)
-                          for rhos in shared]).reshape((q, q) + lead + (k, d, d))
-    rhos = (b_rho @ _dagger_stack(b_stack)[None]).reshape(-1, d, d)
+    b_rho = (b_stack.reshape(n, 1, q * k * d, d) @ rho_a).reshape(n, q, q, k, d, d)
+    rhos = (b_rho @ _dagger_stack(b_stack)[:, None]).reshape(-1, d, d)  # by play, a, b, choice
     check_density_stack(np.concatenate((rho_a.reshape(-1, d, d), rhos)))
-    shape = (q * q,) + lead + (k,)
-    if len(rhos) < _SHARED_FACTOR_MIN and d in (2, 3):  # density r is one of input pair r q q // n
+    if len(rhos) < _SHARED_FACTOR_MIN and d in (2, 3):  # density r is one of input pair r // k mod q q
         sums = _outcome_sums(measurement, measurement._stack @ rhos[:, None])
-        return np.array([p.get(spec._answers[r * q * q // len(sums)], 0.0) for r, p in enumerate(sums)]).reshape(shape)
-    per_label = {label: p.reshape(shape) for label, p in outcome_probabilities(measurement, rhos).items()}
-    return np.array([per_label[a][i] if a in per_label else np.zeros(shape[1:]) for i, a in enumerate(spec._answers)])
+        wins = [p.get(spec._answers[r // k % (q * q)], 0.0) for r, p in enumerate(sums)]
+        return np.array(wins).reshape(n, q * q, k).transpose(1, 0, 2)
+    per_label = {label: p.reshape(n, q * q, k) for label, p in outcome_probabilities(measurement, rhos).items()}
+    return np.array([per_label[c][:, r] if c in per_label else np.zeros((n, k)) for r, c in enumerate(spec._answers)])
 
 
 def stochastic_matrix(gate, d: int) -> np.ndarray:

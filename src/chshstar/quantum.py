@@ -22,8 +22,9 @@ sum, not by a matmul's BLAS call per matrix.  A trace of dimension 3 or less
 is elementwise adds from 0.0, bit for bit numpy's reduce, which on a short
 axis runs several times slower after a matmul.
 ``apply_channel`` applies one Kraus operator without stacking it.  A
-factor that many matrices of a stack share is taken as one product of the
-stack's rows (``_times``), with the bits of numpy's broadcast product.
+right factor that every matrix of a stack shares is taken as one product of
+the stack's rows (``_times``), at any stack size, with the bits of numpy's
+broadcast product.
 Phase conventions used throughout:
 
 * ``rz(theta) = diag(1, e^{i theta})`` (first diagonal entry fixed to 1),
@@ -229,23 +230,13 @@ def _traces(m: np.ndarray) -> np.ndarray:
     return tr
 
 
-# A d x d factor shared by at least this many matrices of a stack is taken as
-# one (n d, d) @ (d, d) product; on fewer, numpy's broadcast matmul, which
-# takes one product per matrix, costs less.  Every entry of the two forms has
-# the same bits: each is the same sum of the same products in the same order.
-# Below the same count, 2x2 and 3x3 densities are checked and their outcome
-# traces summed on Python scalars, where numpy's cost per call dominates.
-_SHARED_FACTOR_MIN = 16
-
-
 def _times(m: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """``m @ factor`` for a stack m (..., d, d) and one d x d right factor, bit for bit.
 
-    A factor shared by ``_SHARED_FACTOR_MIN`` matrices or more is one product
-    of the stack's rows.
+    One (n d, d) @ (d, d) product of the stack's rows, where numpy's
+    broadcast matmul takes one product per matrix: every entry is the same
+    sum of the same products in the same order.
     """
-    if m.size < _SHARED_FACTOR_MIN * factor.size:
-        return m @ factor
     return (m.reshape(-1, factor.shape[0]) @ factor).reshape(m.shape)
 
 
@@ -274,6 +265,12 @@ def check_unitary_stack(us: np.ndarray) -> None:
         gram = sum(us[..., k, :, None].conj() * us[..., k, None, :] for k in range(us.shape[-1]))
     if not _close(gram, _eye(us.shape[-1]), ATOL_STRUCT):
         raise ValueError("matrix is not unitary")
+
+
+# Below this many 2x2 or 3x3 densities, the stack check and the outcome
+# traces of ``game.evaluate_unitary_stack`` run on Python scalars, where
+# numpy's fixed cost per call is most of the work.
+_SHARED_FACTOR_MIN = 16
 
 
 def check_density_stack(rhos: np.ndarray) -> None:
@@ -703,20 +700,14 @@ def _outcome_sums(m: Measurement, products: np.ndarray) -> list[dict]:
 def outcome_probabilities(m: Measurement, rhos: np.ndarray) -> dict[int, np.ndarray]:
     """Label -> probabilities over a stack of densities (n, d, d), outcomes sharing a label summed.
 
-    Every outcome's trace tr(P_i rho) is the trace of a product taken once
-    per density.  Below ``_SHARED_FACTOR_MIN`` densities it is P_i rho, from
-    one broadcast product of the measurement's projector stack with the
-    density stack; from there on it is rho^T P_i^T, whose diagonal is the
-    same sums of the same products: one product of the rows of every rho^T
-    with P_i^T per projector (``_times``).  Either way the probabilities
-    have the bits of ``_outcome_sums``'s Python floats.  One check runs,
-    once per density: the probabilities sum to 1.
+    Every outcome's trace tr(P_i rho) is read off rho^T P_i^T, whose
+    diagonal is the same sums of the same products as P_i rho's: one product
+    of the rows of every rho^T with P_i^T per projector (``_times``).  The
+    probabilities have the bits of ``_outcome_sums``'s Python floats.  One
+    check runs, once per density: the probabilities sum to 1.
     """
-    if len(rhos) < _SHARED_FACTOR_MIN:
-        columns = _traces(m._stack @ rhos[:, None]).T
-    else:
-        rows = np.ascontiguousarray(rhos.swapaxes(-1, -2))
-        columns = [_traces(_times(rows, p.T)) for p in m._stack]
+    rows = np.ascontiguousarray(rhos.swapaxes(-1, -2))
+    columns = [_traces(_times(rows, p.T)) for p in m._stack]
     agg = _sum_by_label(m.outcome_labels, columns)
     total = functools.reduce(operator.add, agg.values())  # from the first label's column, not 0
     ok = np.abs(total - 1.0) <= np.float64(ATOL_STRUCT)

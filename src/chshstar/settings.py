@@ -261,12 +261,13 @@ def value_clifford() -> ValueResult:
     # tables[g][s]: the eigenstate that Clifford g sends eigenstate s to.
     tables = [tuple(int(t) for t in row) for row in np.argmax(halves, axis=1)]
     readouts = [(axis, labels) for axis in "xyz" for labels in ((0, 1), (1, 0))]
-    inputs = game.GameSpec(2).input_pairs()
-    # half_wins[i, s, r]: half-wins of readout r of eigenstate s on input pair i.
+    spec = game.GameSpec(2)
+    inputs = spec.input_pairs()
+    # half_wins[i, s, r]: half-wins of readout r of eigenstate s on input pair i, whose answer is c.
     half_wins = np.array([
-        [[2 * (labels["+-".index(name[1])] == a * b) if name[0] == axis else 1
+        [[2 * (labels["+-".index(name[1])] == c) if name[0] == axis else 1
           for axis, labels in readouts] for name in eigenstates]
-        for a, b in inputs
+        for c in spec._answers
     ], dtype=np.uint8)
     wins, (s0, a, b, r), examined = _search_tables(6, inputs, half_wins, tables, tables, 2, 2)
     axis, labels = readouts[r]
@@ -277,7 +278,7 @@ def value_clifford() -> ValueResult:
         measurement=Measurement.pauli(axis, labels=labels),
     )
     value = wins / (2 * len(inputs))
-    report = game.evaluate(game.GameSpec(2), witness)
+    report = game.evaluate(spec, witness)
     _check_witness(value, report.average)
     return ValueResult(
         value=value,
@@ -349,8 +350,8 @@ def _search_classical(d, q, a_pool, b_pool, readouts, n_a, n_b):
     ``readouts`` are symbol-to-answer maps for the mod-``q`` game.  Returns
     (best wins, (initial symbol, A tables, B tables, readout), count).
     """
-    inputs = game.GameSpec(q).input_pairs()
-    targets = np.array([(a * b) % q for a, b in inputs])
+    spec = game.GameSpec(q)
+    inputs, targets = spec.input_pairs(), np.array(spec._answers)
     # hits[i, symbol, readout]: reading ``symbol`` out wins on input pair i.
     hits = (np.array(readouts).T[None] == targets[:, None, None]).astype(np.uint8)
     wins, (s0, ia, ib, ir), count = _search_tables(d, inputs, hits, a_pool, b_pool, n_a, n_b)
@@ -625,10 +626,10 @@ def epsilon_sweep(eps_grid) -> list[tuple[float, float, float]]:
     wins = game.evaluate_unitary_stack(
         spec,
         strategy.initial.density,
-        np.concatenate([strategy.a_gates[a]._stack for a in spec.input_alphabet]),
-        b_stack,
+        np.concatenate([strategy.a_gates[a]._stack for a in spec.input_alphabet])[None],
+        b_stack[None],
         strategy.measurement,
-    )
+    )[:, 0]
     p_circuit = (sum(wins) / len(wins)).tolist()  # the rows added from 0 in input-pair order
     p_formula = success_probability_formula(values).tolist()
     return [(float(eps), pf, pc) for eps, pf, pc in zip(eps_list, p_formula, p_circuit)]

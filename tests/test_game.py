@@ -137,15 +137,15 @@ def test_strategy_and_components_compare_and_hash_by_identity():
 # ---------------------------------------------------------------------------
 
 def _kernel(spec, s, b_plays=None):
-    """evaluate_unitary_stack on a unitary strategy; ``b_plays`` stacks more B gates."""
+    """evaluate_unitary_stack on a unitary strategy, a play axis of one; ``b_plays`` stacks more B gates."""
     alphabet = spec.input_alphabet
     if b_plays is None:
         b_plays = [[s.b_gates[b].kraus[0] for b in alphabet]]
     return game.evaluate_unitary_stack(
         spec,
         s.initial.density,
-        np.stack([s.a_gates[a].kraus[0] for a in alphabet]),
-        np.stack([[play[b] for play in b_plays] for b in alphabet]),
+        np.stack([s.a_gates[a].kraus[0] for a in alphabet])[None],
+        np.stack([[play[b] for play in b_plays] for b in alphabet])[None],
         s.measurement,
     )
 
@@ -163,9 +163,9 @@ def test_unitary_stack_kernel_equals_evaluate():
     for spec, s in cases:
         expected = game.evaluate(spec, s).per_input
         wins = _kernel(spec, s)
-        assert wins.shape == (spec.q * spec.q, 1)
+        assert wins.shape == (spec.q * spec.q, 1, 1)
         for key, p in zip(spec.input_pairs(), wins):
-            assert p[0] == expected[key]
+            assert p[0, 0] == expected[key]
 
 
 def test_unitary_stack_kernel_evaluates_each_stacked_play():
@@ -174,11 +174,11 @@ def test_unitary_stack_kernel_evaluates_each_stacked_play():
     a0, a1 = q.random_unitary(2, rng), q.random_unitary(2, rng)
     plays = [[q.random_unitary(2, rng) for _ in range(2)] for _ in range(7)]
     wins = _kernel(spec, normal_form(a0, a1, *plays[0]), b_plays=plays)
-    assert wins.shape == (4, len(plays))
+    assert wins.shape == (4, 1, len(plays))
     for j, (b0, b1) in enumerate(plays):
         expected = game.evaluate(spec, normal_form(a0, a1, b0, b1)).per_input
         for key, p in zip(spec.input_pairs(), wins):
-            assert p[j] == expected[key]
+            assert p[0, j] == expected[key]
 
 
 def _broadcast_kernel(spec, initial, a_stack, b_stack, measurement):
@@ -196,10 +196,10 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def test_unitary_stack_kernel_has_the_broadcast_bits_with_and_without_a_play_axis():
-    # Shared factors are taken as right products from _SHARED_FACTOR_MIN
-    # matrices on; every value must keep the broadcast form's bits, for one
-    # play and for each play of a stack of them.
+def test_unitary_stack_kernel_has_the_broadcast_bits_for_one_play_and_for_nine():
+    # Shared factors are taken as one product of the sharing matrices' rows;
+    # every value must keep the broadcast form's bits, for one play and for
+    # each play of a stack of them.
     rng = np.random.default_rng(206)
     cases = [(game.GameSpec(2), q.Measurement.pauli("x")), (game.GameSpec(2), q.Measurement.pauli("y", (1, 1))),
              (game.GameSpec(3), q.Measurement.fourier(3)), (game.GameSpec(3), q.Measurement.fourier(3, (2, 0, 2)))]
@@ -214,10 +214,10 @@ def test_unitary_stack_kernel_has_the_broadcast_bits_with_and_without_a_play_axi
             assert stacked.shape == (spec.q * spec.q, 9, k)
             for i in range(9):
                 expected = _broadcast_kernel(spec, initial, a_stack[i], b_stack[i], measurement)
-                single = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
-                assert list(expected) == spec.input_pairs() and single.shape == (spec.q * spec.q, k)
+                single = game.evaluate_unitary_stack(spec, initial, a_stack[i:i + 1], b_stack[i:i + 1], measurement)
+                assert list(expected) == spec.input_pairs() and single.shape == (spec.q * spec.q, 1, k)
                 for r, values in enumerate(expected.values()):
-                    assert _bits(single[r]) == _bits(values)
+                    assert _bits(single[r, 0]) == _bits(values)
                     assert _bits(stacked[r, i]) == _bits(values)
 
 
@@ -236,13 +236,9 @@ def test_one_play_has_the_bits_it_has_inside_a_stack_of_sixteen():
         b_stack = q.random_unitary(d, rng, (16, spec.q, 1))
         stacked = game.evaluate_unitary_stack(spec, initial, a_stack, b_stack, measurement)
         for i in range(16):
-            alone = game.evaluate_unitary_stack(spec, initial, a_stack[i], b_stack[i], measurement)
-            in_a_stack_of_one = game.evaluate_unitary_stack(spec, initial, a_stack[i:i + 1], b_stack[i:i + 1],
-                                                            measurement)
+            alone = game.evaluate_unitary_stack(spec, initial, a_stack[i:i + 1], b_stack[i:i + 1], measurement)
             for r, values in enumerate(stacked):
-                expected = [values[i, 0].hex()]
-                assert [p.hex() for p in alone[r].tolist()] == expected
-                assert [p.hex() for p in in_a_stack_of_one[r, 0].tolist()] == expected
+                assert [p.hex() for p in alone[r, 0].tolist()] == [values[i, 0].hex()]
 
 
 def test_unitary_stack_kernel_checks_every_density():
@@ -253,29 +249,30 @@ def test_unitary_stack_kernel_checks_every_density():
     for a_gates, b_gates in ((a_stack * [[[1]], [[off]]], b_stack),
                              (a_stack, b_stack * [[[[1]]], [[[off]]]])):
         with pytest.raises(ValueError, match="trace"):
-            game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
+            game.evaluate_unitary_stack(spec, s.initial.density, a_gates[None], b_gates[None], s.measurement)
 
 
 def test_unitary_stack_kernel_rejects_stacks_that_do_not_fit_the_game():
     spec, s = game.GameSpec(2), optimal_unitary_strategy()
-    a_stack = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)])
-    b_stack = np.stack([[s.b_gates[b].kraus[0]] for b in (0, 1)])
-    for a_gates, b_gates in ((a_stack[:1], b_stack), (a_stack, b_stack[:, 0]),
-                             (a_stack, b_stack[:1]), (a_stack, np.zeros((2, 1, 3, 3))),
-                             (a_stack[None], b_stack), (a_stack[None], b_stack[None, None]),
-                             (a_stack[None, None], b_stack[None, None]), (a_stack, b_stack[0, 0])):
+    a, b = np.stack([s.a_gates[a].kraus[0] for a in (0, 1)]), np.stack([[s.b_gates[b].kraus[0]] for b in (0, 1)])
+    a_stack, b_stack = a[None], b[None]  # one play: (1, q, d, d) and (1, q, k, d, d)
+    for a_gates, b_gates in ((a_stack[:, :1], b_stack), (a_stack, b_stack[:, :, 0]),
+                             (a_stack, b_stack[:, :1]), (a_stack, np.zeros((1, 2, 1, 3, 3))),
+                             (a, b), (a_stack, b), (a, b_stack),  # no play axis on either stack, or on one
+                             (np.stack([a, a]), b_stack), (a_stack, b_stack[None]),
+                             (a_stack[None], b_stack[None]), (a_stack, b_stack[0, 0, 0])):
         with pytest.raises(ValueError, match="do not fit"):
             game.evaluate_unitary_stack(spec, s.initial.density, a_gates, b_gates, s.measurement)
 
 
 def test_unitary_stack_kernel_with_no_plays_returns_empty_arrays():
-    # k = 0: one empty row per input pair, with and without a play axis.
+    # k = 0: one empty row per input pair, for one play and for five.
     for spec, s in ((game.GameSpec(2), optimal_unitary_strategy()),
                     (game.GameSpec(3), qutrit_fixed_strategy())):
         a_stack = np.stack([s.a_gates[a].kraus[0] for a in spec.input_alphabet])
         no_plays = np.zeros((spec.q, 0, s.dim, s.dim), dtype=complex)
-        wins = game.evaluate_unitary_stack(spec, s.initial.density, a_stack, no_plays, s.measurement)
-        assert wins.shape == (spec.q * spec.q, 0) and wins.dtype == float
+        wins = game.evaluate_unitary_stack(spec, s.initial.density, a_stack[None], no_plays[None], s.measurement)
+        assert wins.shape == (spec.q * spec.q, 1, 0) and wins.dtype == float
         wins = game.evaluate_unitary_stack(spec, s.initial.density, np.stack([a_stack] * 5),
                                            np.stack([no_plays] * 5), s.measurement)
         assert wins.shape == (spec.q * spec.q, 5, 0) and wins.dtype == float
@@ -290,9 +287,9 @@ def test_unitary_stack_kernel_rows_follow_the_input_pairs_for_q3():
     initial = q.State.from_ket(q.plus_ket(3))
     a_stack = q.random_unitary(3, rng, (2, 3))
     b_stack = q.random_unitary(3, rng, (2, 3, 2))
-    one = game.evaluate_unitary_stack(spec, initial.density, a_stack[0], b_stack[0, :, :1], measurement)
+    one = game.evaluate_unitary_stack(spec, initial.density, a_stack[:1], b_stack[:1, :, :1], measurement)
     stacked = game.evaluate_unitary_stack(spec, initial.density, a_stack, b_stack, measurement)
-    assert one.shape == (9, 1) and stacked.shape == (9, 2, 2)
+    assert one.shape == (9, 1, 1) and stacked.shape == (9, 2, 2)
     for i in range(2):
         for j in range(2):
             s = game.Strategy(initial, {a: q.Channel.unitary(a_stack[i, a]) for a in range(3)},
@@ -301,7 +298,7 @@ def test_unitary_stack_kernel_rows_follow_the_input_pairs_for_q3():
             assert len(set(expected.values())) == 9
             assert dict(zip(spec.input_pairs(), stacked[:, i, j].tolist())) == expected
             if i == j == 0:
-                assert dict(zip(spec.input_pairs(), one[:, 0].tolist())) == expected
+                assert dict(zip(spec.input_pairs(), one[:, 0, 0].tolist())) == expected
 
 
 # ---------------------------------------------------------------------------

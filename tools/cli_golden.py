@@ -64,6 +64,9 @@ COMMANDS = [
     ({}, ["verify-lemma1", "--n-random", "600", "--seed", "12345", "--format", "json"]),
     *(({}, ["sweep-epsilon", "--steps", "9", "--format", f]) for f in ("json", "csv", "text")),
     ({}, ["sweep-epsilon", "--steps", "1001", "--format", "csv"]),
+    # 8, 12 and 16 final densities: the kernel's outcome tail on scalars with
+    # more than one B choice, and the first size on numpy.
+    *(({}, ["sweep-epsilon", "--steps", n, "--format", "csv"]) for n in ("2", "3", "4")),
     *(({}, ["landauer", *a, "--format", f]) for a in _LANDAUER for f in ("json", "text")),
     ({}, ["q3", "--format", "json"]),
     ({}, ["q3", "--format", "text"]),
